@@ -17,7 +17,7 @@
 //! * enumeration of the well-formed accesses available at a configuration
 //!   ([`enumerate`]), and its incremental form ([`frontier::AccessFrontier`])
 //!   that only emits accesses involving newly-added active-domain values —
-//!   the candidate source of the federated engine and the batch scheduler.
+//!   the candidate source of the engine's merge loop.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -4,10 +4,10 @@
 //! oracle. Any divergence is shrunk to a minimal reproducing case and
 //! printed; the process exits non-zero so CI can gate on it.
 //!
-//! With `--invalidation-seeds <N>` the sweep additionally diffs **precise**
-//! and **exact read-set invalidation** against the relation-level baseline on each
-//! case (identical observable run, verdict-log subsequence, never more
-//! re-checks or evictions).
+//! With `--invalidation-seeds <N>` the sweep additionally diffs **precise
+//! read-set invalidation** against the relation-level baseline on each case
+//! (identical observable run, verdict-log subsequence, never more re-checks
+//! or evictions).
 //!
 //! ```text
 //! cargo run --release -p accrel-bench --bin fuzz -- --seeds 25
@@ -77,17 +77,17 @@ fn main() -> ExitCode {
     if invalidation_seeds > 0 {
         println!(
             "\n# invalidation differential: {invalidation_seeds} seeds from base {base_seed} \
-             (precise vs exact read-set vs relation-level)"
+             (precise read-set vs relation-level)"
         );
         let inv = differential::fuzz_invalidation(base_seed, invalidation_seeds);
         println!(
-            "cases run      : {}\nprecise misses : {}\nexact misses   : {}\nbaseline misses: {}",
-            inv.cases, inv.precise_misses, inv.exact_misses, inv.relation_misses
+            "cases run      : {}\nprecise misses : {}\nbaseline misses: {}",
+            inv.cases, inv.precise_misses, inv.relation_misses
         );
         if inv.failures.is_empty() {
             println!(
-                "all {} cases: precise and exact invalidation match the relation-level \
-                 baseline (and never re-check more)",
+                "all {} cases: precise invalidation matches the relation-level baseline \
+                 (and never re-checks more)",
                 inv.cases
             );
         } else {
@@ -112,7 +112,7 @@ fn usage(error: &str) -> ExitCode {
     println!("usage: fuzz [--seeds <count>] [--base-seed <u64>] [--invalidation-seeds <count>]");
     println!("  --seeds <count>               number of consecutive seeds to run (default 25)");
     println!("  --base-seed <u64>             first seed of the sweep (default 0)");
-    println!("  --invalidation-seeds <count>  also diff exact read-set invalidation against");
+    println!("  --invalidation-seeds <count>  also diff precise read-set invalidation against");
     println!("                                the relation-level baseline over <count> seeds");
     if error.is_empty() {
         ExitCode::SUCCESS

@@ -58,12 +58,10 @@ fn main() -> ExitCode {
                 println!("  --smoke       run each experiment fixture once and write JSON");
                 println!("  --million     run only the 10^6-fact E5/F1 sweeps and write JSON");
                 println!("  --check-invalidation");
-                println!("                assert the invalidation savings hold: exact read-set");
+                println!("                assert the invalidation savings hold: precise read-set");
                 println!("                invalidation re-runs strictly fewer decision procedures");
-                println!("                than the relation-level baseline on the bank workload,");
-                println!("                and precise per-domain tracking saves strictly on the");
-                println!("                E5 adom-flooding chain (ordered precise <= exact <=");
-                println!("                relation-level)");
+                println!("                than the relation-level baseline on the bank workload");
+                println!("                and on the E5 adom-flooding chain");
                 println!("  --out <path>  JSON output path (default BENCH_smoke.json /");
                 println!("                BENCH_million.json)");
                 return ExitCode::SUCCESS;
@@ -82,13 +80,11 @@ fn main() -> ExitCode {
         return match runner::check_invalidation_savings() {
             Ok(savings) => {
                 println!(
-                    "bank: {} decision procedures re-run (exact) vs {} (relation-level); \
-                     E5 flooding chain: {} (precise) vs {} (exact) vs {} (relation-level) \
-                     — savings intact",
-                    savings.bank_exact,
+                    "bank: {} decision procedures re-run (precise) vs {} (relation-level); \
+                     E5 flooding chain: {} (precise) vs {} (relation-level) — savings intact",
+                    savings.bank_precise,
                     savings.bank_relation,
                     savings.e5_precise,
-                    savings.e5_exact,
                     savings.e5_relation
                 );
                 ExitCode::SUCCESS

@@ -287,14 +287,14 @@ mod tests {
         // still compare. `re-checks/round` and `evictions` are semantic
         // counters — they are never timing-regression-checked; only the
         // series' wall-time row is.
-        let exact = "E5 federation (invalidation, exact)";
+        let precise = "E5 federation (invalidation, precise)";
         let relation = "E5 federation (invalidation, relation-level)";
         let baseline = vec![row("E1", "CQ", "1", "median µs", 10.0)];
         let fresh = vec![
             row("E1", "CQ", "1", "median µs", 11.0),
-            row("F1", exact, "4", "re-checks/round", 90.0),
-            row("F1", exact, "4", "evictions", 120.0),
-            row("F1", exact, "4", "wall µs/access", 150.0),
+            row("F1", precise, "4", "re-checks/round", 90.0),
+            row("F1", precise, "4", "evictions", 120.0),
+            row("F1", precise, "4", "wall µs/access", 150.0),
             row("F1", relation, "4", "re-checks/round", 115.0),
             row("F1", relation, "4", "evictions", 180.0),
             row("F1", relation, "4", "wall µs/access", 140.0),
@@ -306,12 +306,12 @@ mod tests {
         // Once both sides carry the series, only its wall-time rows are
         // regression-checked; a counter jump is a semantic diff, not perf.
         let aged = vec![
-            row("F1", exact, "4", "wall µs/access", 100.0),
-            row("F1", exact, "4", "re-checks/round", 90.0),
+            row("F1", precise, "4", "wall µs/access", 100.0),
+            row("F1", precise, "4", "re-checks/round", 90.0),
         ];
         let regressed = vec![
-            row("F1", exact, "4", "wall µs/access", 500.0),
-            row("F1", exact, "4", "re-checks/round", 300.0),
+            row("F1", precise, "4", "wall µs/access", 500.0),
+            row("F1", precise, "4", "re-checks/round", 300.0),
         ];
         let report = compare_rows(&aged, &regressed, 2.0);
         assert_eq!(report.compared, 1, "counter rows are not timing rows");

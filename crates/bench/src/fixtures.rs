@@ -405,12 +405,11 @@ pub fn federation_fixture_from(
 /// requires exhausting the witness search, and the pool of dead
 /// candidates grows with every feeder value.
 ///
-/// The domain split is what separates the three invalidation modes.
+/// The domain split is what separates the two invalidation modes.
 /// Relation-level eviction fires on every response (dependent dep-sets
-/// are global), so each feed re-proves every dead verdict. Coarse adom
-/// recording (`Exact` mode) stamps `adom_all` on the failed witness
-/// searches, so each fresh value re-proves them all too — the wash this
-/// fixture exists to expose. Per-domain prefix reads survive: the
+/// are global), so each feed re-proves every dead verdict; so would a
+/// read set that stamped every active-domain walk as a whole-domain read.
+/// Per-domain prefix reads survive: the
 /// backtracking search puts `x` at the top of its DFS, the `A`-typed
 /// subtree below it exhausts the valuation budget, and the visited
 /// prefix of `B`'s sorted candidate list stays short — a fresh integer
@@ -759,20 +758,21 @@ mod tests {
             assert!(fixture.federation.source_for(id).is_some());
         }
         // A capped exhaustive batched run executes and retrieves tuples.
-        let report = accrel_federation::BatchScheduler::new(
-            &fixture.federation,
-            fixture.query.clone(),
-            accrel_engine::Strategy::Exhaustive,
-        )
-        .with_options(accrel_engine::RunOptions {
-            max_accesses: 8,
-            stop_when_certain: false,
-            batch_size: 4,
-            workers: 2,
-            speculation: accrel_federation::SpeculationMode::CachedOnly,
-            ..accrel_engine::RunOptions::default()
-        })
-        .run(&fixture.initial);
+        let request = accrel_engine::RunRequest::new(fixture.query.clone())
+            .with_strategy(accrel_engine::Strategy::Exhaustive)
+            .with_options(accrel_engine::RunOptions {
+                max_accesses: 8,
+                stop_when_certain: false,
+                batch_size: 4,
+                workers: 2,
+                speculation: accrel_engine::SpeculationMode::CachedOnly,
+                ..accrel_engine::RunOptions::default()
+            });
+        let report = accrel_engine::Executor::execute(
+            &accrel_federation::Threaded::new(&fixture.federation),
+            &request,
+            &fixture.initial,
+        );
         assert_eq!(report.accesses_made, 8);
         assert!(report.tuples_retrieved > 0);
         assert!(report.batch_stats.mean_batch() > 1.0);

@@ -12,8 +12,8 @@ use accrel_engine::{
     RunOptions, RunRequest, Sequential, SpeculationMode, Strategy,
 };
 use accrel_federation::{
-    parallel_relevance_sweep_report, AsyncBatchScheduler, BatchScheduler, ChurnScript, FlakyModel,
-    QuerySessionRegistry, ServingOptions,
+    parallel_relevance_sweep_report, Async, ChurnScript, Federation, FlakyModel,
+    QuerySessionRegistry, ServingOptions, SimulatedSource, Threaded,
 };
 use accrel_workloads::encodings::encoding_stats;
 use accrel_workloads::tiling::checkerboard;
@@ -348,7 +348,7 @@ pub fn e7_engine_ablation() -> Table {
 
 /// S1 — speculative store mutation: an insert-k-then-discard probe (the
 /// shape of every tentative-response replay in the relevance procedures and
-/// the scheduler's eager look-ahead) paid for two ways. `snapshot
+/// the merge loop's eager look-ahead) paid for two ways. `snapshot
 /// speculate` clones the store and inserts into the clone — every probe
 /// copies the touched relation's full shard, which at 10⁶ rows dwarfs the
 /// probe itself. `trail speculate` inserts under a trail mark on the live
@@ -530,11 +530,11 @@ pub fn f1_federation_sweep(
             speculation: SpeculationMode::CachedOnly,
             ..RunOptions::default()
         };
+        let request = RunRequest::new(slept.query.clone())
+            .with_strategy(Strategy::Exhaustive)
+            .with_options(options);
         let start = Instant::now();
-        let report =
-            BatchScheduler::new(&slept.federation, slept.query.clone(), Strategy::Exhaustive)
-                .with_options(options)
-                .run(&slept.initial);
+        let report = Threaded::new(&slept.federation).execute(&request, &slept.initial);
         let wall = start.elapsed().as_secs_f64() * 1e6;
         let series = "E5 federation (exhaustive)";
         rows.push(Row::new(
@@ -568,34 +568,53 @@ pub fn f1_federation_sweep(
             report.shard_copies as f64,
         ));
     }
-    // A guided run under eager speculation: every predicted batch replays
+    // Guided runs under eager speculation: every predicted batch replays
     // the strategy's LTR selection speculatively, which is exactly the
     // workload the trail exists for. The headline row is `speculative
-    // shard copies` — zero, now that tentative-response probes mutate the
-    // live store under trail marks instead of replaying on snapshots (the
-    // million-fact CI job asserts this). The `trail ops` rows report the
-    // undo entries those probes recorded and rolled back; they stay zero
-    // on fixtures (like E5 under a shallow budget) where every LTR verdict
-    // is reached before a truncation replay carries facts.
-    {
-        slept.federation.reset_stats();
+    // shard copies` — zero, because tentative-response probes mutate the
+    // live store under trail marks (the million-fact CI job asserts this). The `trail ops` rows report the
+    // undo entries those probes recorded and rolled back. On E5 under a
+    // shallow budget they stay zero (every LTR verdict is reached before a
+    // truncation replay carries facts), so the bank series — whose
+    // dependent-LTR witness searches replay tentative responses on every
+    // probe — is what keeps the zero-copy check from being vacuous.
+    let bank = accrel_engine::scenarios::bank_scenario();
+    let bank_federation = Federation::single(SimulatedSource::exact(
+        "bank",
+        bank.instance.clone(),
+        bank.methods.clone(),
+    ));
+    let eager_runs = [
+        (
+            "E5 federation (ltr-guided, eager)",
+            &slept.federation,
+            &slept.query,
+            &slept.initial,
+        ),
+        (
+            "bank federation (ltr-guided, eager)",
+            &bank_federation,
+            &bank.query,
+            &bank.initial_configuration,
+        ),
+    ];
+    for (series, federation, query, initial) in eager_runs {
+        federation.reset_stats();
         let eager_batch = 8usize;
-        let options = RunOptions {
-            max_accesses: max_accesses.min(24),
-            stop_when_certain: false,
-            batch_size: eager_batch,
-            workers: eager_batch.min(8),
-            speculation: SpeculationMode::Eager,
-            budget: accrel_core::SearchBudget::shallow(),
-            ..RunOptions::default()
-        };
+        let request = RunRequest::new(query.clone())
+            .with_strategy(Strategy::LtrGuided)
+            .with_options(RunOptions {
+                max_accesses: max_accesses.min(24),
+                stop_when_certain: false,
+                batch_size: eager_batch,
+                workers: eager_batch.min(8),
+                speculation: SpeculationMode::Eager,
+                budget: accrel_core::SearchBudget::shallow(),
+                ..RunOptions::default()
+            });
         let start = Instant::now();
-        let report =
-            BatchScheduler::new(&slept.federation, slept.query.clone(), Strategy::LtrGuided)
-                .with_options(options)
-                .run(&slept.initial);
+        let report = Threaded::new(federation).execute(&request, initial);
         let wall = start.elapsed().as_secs_f64() * 1e6;
-        let series = "E5 federation (ltr-guided, eager)";
         rows.push(Row::new(
             series,
             eager_batch,
@@ -632,15 +651,13 @@ pub fn f1_federation_sweep(
     // consults the oracle; the E5 workload is fully dependent, so every
     // response grows a relation other verdicts depend on). The headline
     // metric is **re-checks/round** — decision procedures re-run per growth
-    // round after cache invalidation. Exact invalidation only re-verifies a
-    // verdict when a response inserted a pair its procedure actually read;
-    // precise invalidation further scopes the active-domain reads per
-    // domain and visited prefix, so the rows must order precise ≤ exact ≤
-    // relation-level; the answers are pinned byte-for-byte by the
-    // equivalence suite and the differential fuzzer.
+    // round after cache invalidation. Precise invalidation only re-verifies
+    // a verdict when a response inserted a pair its procedure actually read
+    // (with active-domain reads scoped per domain and visited prefix), so
+    // the rows must order precise ≤ relation-level; the answers are pinned
+    // byte-for-byte by the equivalence suite and the differential fuzzer.
     for (mode_label, invalidation) in [
         ("precise", InvalidationMode::Precise),
-        ("exact", InvalidationMode::Exact),
         ("relation-level", InvalidationMode::RelationLevel),
     ] {
         slept.federation.reset_stats();
@@ -654,10 +671,11 @@ pub fn f1_federation_sweep(
             budget: accrel_core::SearchBudget::shallow(),
             ..RunOptions::default()
         };
+        let request = RunRequest::new(slept.query.clone())
+            .with_strategy(Strategy::Hybrid)
+            .with_options(options);
         let start = Instant::now();
-        let report = BatchScheduler::new(&slept.federation, slept.query.clone(), Strategy::Hybrid)
-            .with_options(options)
-            .run(&slept.initial);
+        let report = Threaded::new(&slept.federation).execute(&request, &slept.initial);
         let wall = start.elapsed().as_secs_f64() * 1e6;
         let series = format!("E5 federation (invalidation, {mode_label})");
         rows.push(Row::new(
@@ -730,12 +748,12 @@ pub fn f1_federation_sweep(
 }
 
 /// F2 — the async federation sweep: the same exhaustive E5 federation run
-/// as F1, executed by the `AsyncBatchScheduler` on the hand-rolled
+/// as F1, executed by the `Async` executor on the hand-rolled
 /// mini-executor, swept over the **in-flight limit** at a fixed batch size.
 /// Latencies elapse on the shared virtual clock, so the headline metric is
 /// `virtual µs/access` — the simulated makespan per access, which shrinks
 /// as the in-flight limit lets more round trips overlap — measured with
-/// zero real sleeps (the `wall µs/access` row shows the scheduler's true
+/// zero real sleeps (the `wall µs/access` row shows the executor's true
 /// CPU cost stays flat).
 pub fn f2_async_sweep(
     world: &fixtures::FederationWorld,
@@ -757,14 +775,11 @@ pub fn f2_async_sweep(
             speculation: SpeculationMode::CachedOnly,
             ..RunOptions::default()
         };
+        let request = RunRequest::new(fixture.query.clone())
+            .with_strategy(Strategy::Exhaustive)
+            .with_options(options);
         let start = Instant::now();
-        let report = AsyncBatchScheduler::new(
-            &fixture.federation,
-            fixture.query.clone(),
-            Strategy::Exhaustive,
-        )
-        .with_options(options)
-        .run(&fixture.initial);
+        let report = Async::new(&fixture.federation).execute(&request, &fixture.initial);
         let wall = start.elapsed().as_secs_f64() * 1e6;
         let virtual_elapsed = fixture.federation.clock().now_micros() - virtual_before;
         let series = "E5 async federation (exhaustive)";
@@ -960,18 +975,12 @@ pub fn f4_chaos_sweep(world: &fixtures::FederationWorld, max_accesses: usize) ->
             speculation: SpeculationMode::CachedOnly,
             ..RunOptions::default()
         };
-        let start = Instant::now();
-        let report = BatchScheduler::new(
-            &fixture.federation,
-            fixture.query.clone(),
-            Strategy::Exhaustive,
-        )
-        .with_options(options.clone())
-        .run(&fixture.initial);
-        let wall = start.elapsed().as_secs_f64() * 1e6;
         let request = RunRequest::new(fixture.query.clone())
             .with_strategy(Strategy::Exhaustive)
             .with_options(options);
+        let start = Instant::now();
+        let report = Threaded::new(&fixture.federation).execute(&request, &fixture.initial);
+        let wall = start.elapsed().as_secs_f64() * 1e6;
         let oracle = Sequential::new(&oracle_source).execute(&request, &fixture.initial);
         let unchanged = report.access_sequence == oracle.access_sequence
             && report.answers == oracle.answers
@@ -1087,29 +1096,45 @@ pub fn run_smoke() -> Vec<Table> {
 /// (a blocking CI step).
 #[derive(Debug, Clone, Copy)]
 pub struct InvalidationSavings {
-    /// Bank workload total re-checks under exact read-set invalidation.
-    pub bank_exact: usize,
+    /// Bank workload total re-checks under precise read-set invalidation.
+    pub bank_precise: usize,
     /// Bank workload total re-checks under the relation-level baseline.
     pub bank_relation: usize,
     /// E5 adom-flooding chain total re-checks under precise invalidation.
     pub e5_precise: usize,
-    /// E5 adom-flooding chain total re-checks under exact invalidation.
-    pub e5_exact: usize,
     /// E5 adom-flooding chain total re-checks under the baseline.
     pub e5_relation: usize,
 }
 
+/// Total decision procedures a Hybrid run re-runs under each invalidation
+/// mode, precise first.
+fn misses_per_mode(
+    source: &DeepWebSource,
+    query: &accrel_query::Query,
+    initial: &accrel_schema::Configuration,
+    options: RunOptions,
+) -> [usize; 2] {
+    [InvalidationMode::Precise, InvalidationMode::RelationLevel].map(|invalidation| {
+        let options = RunOptions {
+            invalidation,
+            ..options.clone()
+        };
+        accrel_engine::FederatedEngine::new(source, query.clone(), Strategy::Hybrid)
+            .with_options(options)
+            .run(initial)
+            .relevance_cache_misses
+    })
+}
+
 /// The CI assertion behind `harness --check-invalidation`, two workloads
-/// deep. On the dependent-method bank scenario — whose value-specific reads
-/// give exact invalidation the most to keep — the exact mode must re-run
-/// **strictly fewer** decision procedures than the relation-level baseline.
-/// On the E5 adom-flooding chain — where nearly every response introduces
-/// fresh values, so exact's coarse adom recording evicts almost everything
-/// and washes out against the baseline — the **precise** mode's per-domain
-/// prefix reads must still save strictly, with the re-check totals ordered
-/// precise ≤ exact ≤ relation-level. (The answers are pinned identical by
-/// the equivalence suite; this guards the savings themselves.) Returns an
-/// error when any saving vanished or the ordering broke.
+/// deep: precise read-set invalidation must re-run **strictly fewer**
+/// decision procedures than the relation-level baseline both on the
+/// dependent-method bank scenario, whose value-specific reads give it the
+/// most to keep, and on the E5 adom-flooding chain, where nearly every
+/// response introduces fresh values and only the per-domain prefix reads
+/// keep verdicts alive. (The answers are pinned identical by the
+/// equivalence suite; this guards the savings themselves.) Returns an error
+/// when either saving vanished.
 pub fn check_invalidation_savings() -> Result<InvalidationSavings, String> {
     let scenario = accrel_engine::scenarios::bank_scenario();
     let source = DeepWebSource::new(
@@ -1117,67 +1142,43 @@ pub fn check_invalidation_savings() -> Result<InvalidationSavings, String> {
         scenario.methods.clone(),
         ResponsePolicy::Exact,
     );
-    let mut bank = Vec::new();
-    for invalidation in [InvalidationMode::Exact, InvalidationMode::RelationLevel] {
-        let options = RunOptions {
+    let [bank_precise, bank_relation] = misses_per_mode(
+        &source,
+        &scenario.query,
+        &scenario.initial_configuration,
+        RunOptions {
             stop_when_certain: false,
-            invalidation,
             ..RunOptions::default()
-        };
-        let report =
-            accrel_engine::FederatedEngine::new(&source, scenario.query.clone(), Strategy::Hybrid)
-                .with_options(options)
-                .run(&scenario.initial_configuration);
-        bank.push(report.relevance_cache_misses);
-    }
+        },
+    );
     let flood = fixtures::adom_flooding_chain(64, 12);
     let flood_source = DeepWebSource::new(
         flood.instance.clone(),
         flood.methods.clone(),
         ResponsePolicy::Exact,
     );
-    let mut chain = Vec::new();
-    for invalidation in [
-        InvalidationMode::Precise,
-        InvalidationMode::Exact,
-        InvalidationMode::RelationLevel,
-    ] {
-        let options = RunOptions {
+    let [e5_precise, e5_relation] = misses_per_mode(
+        &flood_source,
+        &flood.query,
+        &flood.initial,
+        RunOptions {
             max_accesses: 60,
             stop_when_certain: false,
-            invalidation,
             budget: accrel_core::SearchBudget::shallow().with_max_valuations(600),
             ..RunOptions::default()
-        };
-        let report = accrel_engine::FederatedEngine::new(
-            &flood_source,
-            flood.query.clone(),
-            Strategy::Hybrid,
-        )
-        .with_options(options)
-        .run(&flood.initial);
-        chain.push(report.relevance_cache_misses);
-    }
+        },
+    );
     let savings = InvalidationSavings {
-        bank_exact: bank[0],
-        bank_relation: bank[1],
-        e5_precise: chain[0],
-        e5_exact: chain[1],
-        e5_relation: chain[2],
+        bank_precise,
+        bank_relation,
+        e5_precise,
+        e5_relation,
     };
-    if savings.bank_exact >= savings.bank_relation {
+    if savings.bank_precise >= savings.bank_relation {
         return Err(format!(
-            "exact read-set invalidation no longer saves re-checks on the dependent-method \
-             bank workload: {} decision procedures re-run (exact) vs {} (relation-level)",
-            savings.bank_exact, savings.bank_relation
-        ));
-    }
-    if savings.e5_precise > savings.e5_exact || savings.e5_exact > savings.e5_relation {
-        return Err(format!(
-            "invalidation re-check totals out of order on the E5 adom-flooding chain: \
-             {} (precise) vs {} (exact) vs {} (relation-level) — precise ≤ exact ≤ \
-             relation-level must hold",
-            savings.e5_precise, savings.e5_exact, savings.e5_relation
+            "precise read-set invalidation no longer saves re-checks on the dependent-method \
+             bank workload: {} decision procedures re-run (precise) vs {} (relation-level)",
+            savings.bank_precise, savings.bank_relation
         ));
     }
     if savings.e5_precise >= savings.e5_relation {

@@ -1,31 +1,29 @@
-//! The relevance-guided federated query engine.
+//! The relevance-guided federated query engine and its run report.
 //!
-//! [`FederatedEngine::run`] is *incremental*: relevance verdicts are cached
-//! per candidate access together with the exact set of `(relation, value)`
-//! pairs the decision procedure consulted (see
-//! [`accrel_schema::ReadSet`]), and are evicted only when a committed
-//! insert event touches a pair the verdict read — or, under
-//! [`crate::InvalidationMode::RelationLevel`], when a response adds facts
-//! to a relation in the verdict's coarse dependency set. Rounds whose
-//! responses were empty (Boolean probes that missed, exhausted accesses) or
-//! merely duplicated known facts re-use every verdict from the previous
-//! round instead of re-running the decision procedures. Cache
-//! traffic is reported in [`RunReport::relevance_cache_hits`] /
-//! [`RunReport::relevance_cache_misses`], and
-//! [`RunReport::access_sequence`] records the executed accesses in order so
-//! cached and uncached runs can be compared for equality (the correctness
-//! criterion for the invalidation scheme).
+//! [`FederatedEngine::run`] drives the shared [`MergeLoop`] one blocking
+//! source call at a time. The loop is *incremental*: relevance verdicts are
+//! cached per candidate access together with the set of store reads the
+//! decision procedure consulted (see [`accrel_schema::ReadSet`]), and are
+//! evicted only when a committed insert event touches a read the verdict
+//! made — or, under [`crate::InvalidationMode::RelationLevel`], when a
+//! response adds facts to a relation in the verdict's coarse dependency
+//! set. Rounds whose responses were empty (Boolean probes that missed,
+//! exhausted accesses) or merely duplicated known facts re-use every
+//! verdict from the previous round instead of re-running the decision
+//! procedures. Cache traffic is reported in
+//! [`RunReport::relevance_cache_hits`] /
+//! [`RunReport::relevance_cache_misses`], and [`RunReport::access_sequence`]
+//! records the executed accesses in order so cached and uncached runs can be
+//! compared for equality (the correctness criterion for the invalidation
+//! scheme).
 
-use std::collections::BTreeSet;
+use accrel_access::Access;
+use accrel_query::Query;
+use accrel_schema::{Configuration, TrailOps, Tuple};
 
-use accrel_access::enumerate::EnumerationOptions;
-use accrel_access::frontier::AccessFrontier;
-use accrel_access::{apply_access_in_place, Access};
-use accrel_query::{certain, Query};
-use accrel_schema::{Configuration, TrailOps, Tuple, Value};
-
+use crate::merge::MergeLoop;
 use crate::options::RunOptions;
-use crate::relevance::{RelevanceOracle, VerdictRecord};
+use crate::relevance::VerdictRecord;
 use crate::source::{DeepWebSource, SourceStats};
 
 /// Access-selection strategies.
@@ -66,8 +64,8 @@ impl Strategy {
 }
 
 /// Statistics about batched execution. Zero for the sequential engine; the
-/// schedulers of `accrel-federation` — threaded `BatchScheduler` and async
-/// `AsyncBatchScheduler` alike, which share one merge loop — fill them in.
+/// `Threaded`, `Async` and `Serving` executors of `accrel-federation`, which
+/// drive the same [`MergeLoop`] with larger batches, fill them in.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Number of batches issued to the sources.
@@ -80,10 +78,10 @@ pub struct BatchStats {
     /// Prefetched responses never consumed by the merge loop (speculation
     /// waste).
     pub speculative_wasted: usize,
-    /// The scheduler's per-batch concurrency limit: worker threads for the
-    /// threaded scheduler, the in-flight future cap for the async one.
+    /// The executor's per-batch concurrency limit: worker threads for the
+    /// threaded executor, the in-flight future cap for the async one.
     pub workers: usize,
-    /// Copy-on-write shard copies performed *inside* the scheduler's
+    /// Copy-on-write shard copies performed *inside* the merge loop's
     /// speculative prediction regions (eager look-ahead). With trail-backed
     /// speculation this is zero: tentative responses mutate the live store
     /// under a trail mark and are undone in place instead of being replayed
@@ -178,14 +176,15 @@ pub struct RunReport {
     /// running a decision procedure. Always zero outside the serving layer
     /// of `accrel-federation`.
     pub relevance_shared_hits: usize,
-    /// Total `(relation, value)`-grade read-set entries recorded across the
-    /// run's decision-procedure invocations. Zero under
-    /// [`crate::InvalidationMode::RelationLevel`] or with the cache off.
+    /// Total read-set entries recorded across the run's decision-procedure
+    /// invocations. Zero under [`crate::InvalidationMode::RelationLevel`] or
+    /// with the cache off.
     pub reads_tracked: usize,
     /// Cached relevance verdicts evicted by growing responses — per touched
-    /// read under exact invalidation, per dep relation under relation-level.
+    /// read under precise invalidation, per dep relation under
+    /// relation-level.
     pub evictions: usize,
-    /// Insert events drained by exact invalidation (one per committed
+    /// Insert events drained by precise invalidation (one per committed
     /// response row; zero under relation-level invalidation).
     pub events_drained: usize,
     /// The accesses executed, in execution order (for comparing cached and
@@ -212,7 +211,7 @@ pub struct RunReport {
     pub shard_copies: u64,
     /// Trail activity of the run's configuration handle: undo entries pushed
     /// by speculative probes (tentative-response replays in relevance
-    /// checks, the batch scheduler's eager look-ahead) and entries undone
+    /// checks, the merge loop's eager look-ahead) and entries undone
     /// when those probes rolled back. Every speculation that would
     /// historically have cloned shards shows up here instead of in
     /// [`RunReport::shard_copies`].
@@ -251,142 +250,42 @@ impl<'a> FederatedEngine<'a> {
     /// Runs the engine from `initial` until the query is certain, no
     /// candidate access remains, or the access limit is hit.
     ///
-    /// Candidate enumeration is incremental: an [`AccessFrontier`] emits
-    /// only the accesses unlocked by newly-added active-domain values, and
-    /// the engine keeps them in a sorted pending set whose iteration order
-    /// coincides with full re-enumeration, so the executed access sequences
-    /// are byte-for-byte those of the historical re-enumerating loop.
+    /// This is the blocking driver of the shared [`MergeLoop`] at batch size
+    /// 1: each selected access is fetched with one [`DeepWebSource::call`]
+    /// (a failed call consumes the candidate without a response), nothing is
+    /// prefetched, and the report's `batch_stats` stay zero.
     pub fn run(&self, initial: &Configuration) -> RunReport {
-        let methods = self.source.methods();
-        let mut conf = initial.snapshot();
-        // The loop owns its working copy outright: detaching the (small)
-        // initial shards now means trail-backed relevance probes never pay
-        // a lazy copy-on-write detach mid-speculation.
-        conf.own_all_shards();
-        // Committed inserts queue invalidation events for the oracle;
-        // speculative (trailed) inserts roll back without queueing.
-        conf.set_event_capture(true);
-        let copies_before = conf.shard_copies();
-        let trail_before = conf.trail_ops();
-        let mut accesses_made = 0usize;
-        let mut accesses_skipped = 0usize;
-        let mut tuples_retrieved = 0usize;
-        let mut rounds = 0usize;
-        let mut access_sequence: Vec<Access> = Vec::new();
-        let mut oracle = RelevanceOracle::new(&self.query, methods, &self.options);
-        let stats_before = self.source.stats();
-
-        let enum_options = EnumerationOptions {
-            guessable_values: self.guessable_pool(initial),
-            max_accesses: usize::MAX,
+        let options = RunOptions {
+            batch_size: 1,
+            workers: 1,
+            ..self.options.clone()
         };
-        let mut frontier = AccessFrontier::new(methods, enum_options);
-        // Emitted-but-not-executed accesses, in enumeration order (sorted
-        // (method, binding) order equals the odometer order of full
-        // re-enumeration).
-        let mut pending: BTreeSet<Access> = BTreeSet::new();
-
-        loop {
-            rounds += 1;
-            if self.options.stop_when_certain
-                && self.query.is_boolean()
-                && certain::is_certain(&self.query, &conf)
-            {
-                break;
-            }
-            if accesses_made >= self.options.max_accesses {
-                break;
-            }
-            pending.extend(frontier.refresh(&conf, methods));
-            if pending.is_empty() {
-                break;
-            }
-            let selected = {
-                let candidates: Vec<&Access> = pending.iter().collect();
-                // The engine owns `conf`, so relevance checks speculate on
-                // the live store under trail marks — zero shard copies per
-                // tentative-response probe.
-                oracle.select_trailed(self.strategy, &candidates, &mut conf, &mut accesses_skipped)
-            };
-            let Some(access) = selected else {
-                break;
-            };
-            pending.remove(&access);
-            let Ok(response) = self.source.call(&access) else {
-                continue;
-            };
-            tuples_retrieved += response.len();
-            accesses_made += 1;
-            access_sequence.push(access.clone());
-            let before = conf.len();
-            // The loop exclusively owns `conf` (shards detached up front),
-            // so responses grow it in place — no per-round snapshot that is
-            // immediately dropped.
-            let _ = apply_access_in_place(&mut conf, &access, &response, methods);
-            if conf.len() > before {
-                // The response grew exactly one relation (its method's);
-                // drain its insert events and drop the verdicts they touch.
-                if let Ok(m) = methods.get(access.method()) {
-                    oracle.observe_growth(&mut conf, m.relation());
-                }
-            } else {
-                // A fully-duplicate response inserted nothing, queued no
-                // events, and must evict nothing.
-                debug_assert_eq!(conf.pending_events(), 0);
-            }
-        }
-
-        RunReport {
-            strategy: self.strategy,
-            certain: certain::is_certain(&self.query, &conf),
-            answers: certain::certain_answers(&self.query, &conf),
-            accesses_made,
-            accesses_skipped,
-            tuples_retrieved,
-            rounds,
-            relevance_cache_hits: oracle.hits(),
-            relevance_cache_misses: oracle.misses(),
-            relevance_shared_hits: oracle.shared_hits(),
-            reads_tracked: oracle.reads_tracked(),
-            evictions: oracle.evictions(),
-            events_drained: oracle.events_drained(),
-            access_sequence,
-            relevance_verdicts: oracle.take_log(),
-            source_stats: self.source.stats().since(&stats_before),
-            batch_stats: BatchStats::default(),
-            chaos: ChaosStats::default(),
-            shard_copies: conf.shard_copies() - copies_before,
-            trail_ops: conf.trail_ops().since(trail_before),
-            final_configuration: conf,
-        }
-    }
-
-    /// The pool of guessable values for independent accesses: caller-provided
-    /// values plus the query constants (which the paper assumes are known).
-    fn guessable_pool(&self, initial: &Configuration) -> Vec<Value> {
-        let mut pool = self.options.guessable_values.clone();
-        for c in self.query.constants() {
-            if !pool.contains(&c) {
-                pool.push(c);
-            }
-        }
-        for v in initial.all_values() {
-            if !pool.contains(&v) {
-                pool.push(v);
-            }
-        }
-        pool.sort();
-        pool
+        let stats_before = self.source.stats();
+        let merge = MergeLoop::new(
+            &self.query,
+            self.strategy,
+            &options,
+            self.source.methods(),
+            initial,
+            None,
+        );
+        let mut report =
+            merge.run(|batch| batch.iter().map(|a| self.source.call(a).ok()).collect());
+        report.source_stats = self.source.stats().since(&stats_before);
+        report.batch_stats = BatchStats::default();
+        report
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{compare_strategies, RunRequest, Sequential};
+    use crate::options::SpeculationMode;
+    use crate::run::{compare_strategies, Executor as _, RunRequest, Sequential};
     use crate::scenarios;
     use crate::source::ResponsePolicy;
     use accrel_core::SearchBudget;
+    use accrel_query::certain;
 
     #[test]
     fn exhaustive_engine_answers_the_bank_query() {
@@ -490,6 +389,50 @@ mod tests {
                 assert_eq!(u.relevance_cache_hits, 0);
                 assert_eq!(u.relevance_cache_misses, 0);
             }
+        }
+    }
+
+    #[test]
+    fn sequential_engine_runs_at_batch_size_one_whatever_the_batching_knobs() {
+        // The sequential driver forces batch size 1: batching and
+        // speculation knobs must change nothing — no eager look-ahead (its
+        // trailed probes would show in `trail_ops`), no prefetch (every
+        // source call is an executed access) and zero batch statistics.
+        let scenario = scenarios::bank_scenario();
+        let source = DeepWebSource::new(
+            scenario.instance.clone(),
+            scenario.methods.clone(),
+            ResponsePolicy::Exact,
+        );
+        let shallow = RunOptions {
+            budget: SearchBudget::shallow(),
+            ..RunOptions::default()
+        };
+        let executor = Sequential::new(&source);
+        let run = |options: RunOptions| {
+            executor.reset_stats();
+            let request = RunRequest::new(scenario.query.clone())
+                .with_strategy(Strategy::Hybrid)
+                .with_options(options);
+            executor.execute(&request, &scenario.initial_configuration)
+        };
+        let knobbed = run(RunOptions {
+            batch_size: 8,
+            workers: 4,
+            speculation: SpeculationMode::Eager,
+            ..shallow.clone()
+        });
+        let single = run(RunOptions {
+            batch_size: 1,
+            ..shallow
+        });
+        assert!(knobbed.certain);
+        assert_eq!(knobbed.access_sequence, single.access_sequence);
+        assert_eq!(knobbed.relevance_verdicts, single.relevance_verdicts);
+        assert_eq!(knobbed.trail_ops, single.trail_ops);
+        for report in [&knobbed, &single] {
+            assert_eq!(report.source_stats.calls, report.accesses_made);
+            assert_eq!(report.batch_stats, BatchStats::default());
         }
     }
 

@@ -12,9 +12,13 @@
 //!   set of access methods and answers accesses according to a
 //!   [`ResponsePolicy`] — exactly, or with sound (incomplete) subsets, as the
 //!   paper's model allows;
-//! * [`FederatedEngine`] grows a configuration by selecting and executing
-//!   accesses until the query becomes certain (or nothing relevant remains),
-//!   under a pluggable [`Strategy`]:
+//! * [`MergeLoop`] is the one round loop of a run, free of I/O: it grows a
+//!   configuration by selecting accesses and applying their responses until
+//!   the query becomes certain (or nothing relevant remains), and every
+//!   executor — the [`FederatedEngine`] here and the threaded, async and
+//!   serving executors of `accrel-federation` — drives it, differing only
+//!   in how it fetches a batch of responses. Accesses are selected under a
+//!   pluggable [`Strategy`]:
 //!   - [`Strategy::Exhaustive`] — the dynamic strategy of Li \[18\] that the
 //!     paper contrasts with ("no check is made for the relevance of an
 //!     access"): every well-formed access is executed;
@@ -33,6 +37,7 @@
 #![forbid(unsafe_code)]
 
 mod engine;
+pub mod merge;
 pub mod options;
 pub mod relevance;
 pub mod run;
@@ -40,11 +45,8 @@ pub mod scenarios;
 mod source;
 
 pub use engine::{BatchStats, ChaosStats, FederatedEngine, RunReport, Strategy};
+pub use merge::{MergeLoop, MergeStep};
 pub use options::{InvalidationMode, RunOptions, SpeculationMode};
 pub use relevance::{RelevanceKind, RelevanceOracle, SharedVerdictCache, VerdictRecord};
 pub use run::{compare_strategies, Executor, RunRequest, Sequential};
 pub use source::{DeepWebSource, ResponsePolicy, SourceStats};
-
-/// The historical name of the sequential engine's options.
-#[deprecated(since = "0.1.0", note = "renamed to `RunOptions`")]
-pub type EngineOptions = RunOptions;

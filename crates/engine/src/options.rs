@@ -1,28 +1,16 @@
 //! The unified run options.
 //!
-//! Historically every execution layer grew its own option struct: the
-//! sequential engine had `EngineOptions`, the threaded batch scheduler
-//! nested it inside `BatchOptions { engine, batch_size, workers, .. }`, and
-//! the async scheduler nested it again inside `AsyncBatchOptions` with the
-//! worker knob renamed `in_flight`. The three overlapped almost entirely and
-//! clamped degenerate values (`workers == 0`, `batch_size == 0`)
-//! inconsistently at their call sites. [`RunOptions`] replaces all three:
-//! one flat struct carrying both the semantic knobs (access cap, budget,
-//! relevance cache) and the execution knobs (batch size, concurrency,
-//! speculation), with [`RunOptions::normalize`] as the single place
-//! degenerate values are clamped. Executors that have no use for a knob
-//! simply ignore it — the sequential engine reads none of the batching
-//! fields.
-//!
-//! The old names survive as `#[deprecated]` type aliases at the crate roots
-//! (`accrel_engine::EngineOptions`, `accrel_federation::BatchOptions` /
-//! `AsyncBatchOptions`) so downstream code migrates on its own schedule;
-//! nothing inside the workspace uses them.
+//! [`RunOptions`] is one flat struct shared by every executor, carrying both
+//! the semantic knobs (access cap, budget, relevance cache, invalidation)
+//! and the execution knobs (batch size, concurrency, speculation), with
+//! [`RunOptions::normalize`] as the single place degenerate values
+//! (`workers == 0`, `batch_size == 0`) are clamped. The sequential engine
+//! runs at batch size 1, so it reads none of the batching fields.
 
 use accrel_core::SearchBudget;
 use accrel_schema::Value;
 
-/// How a scheduler predicts the follow-up accesses of a batch.
+/// How the merge loop predicts the follow-up accesses of a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpeculationMode {
     /// Predict only from verdicts already in the relevance cache: free (no
@@ -43,26 +31,19 @@ pub enum SpeculationMode {
 /// configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum InvalidationMode {
-    /// Precise read-set invalidation: exact tracking (see
-    /// [`InvalidationMode::Exact`]) with the active-domain reads of the
-    /// witness searches recorded per domain and, where the backtracking
-    /// enumeration was cut off by its budget, per visited *prefix* of the
-    /// sorted candidate list — a new value evicts a verdict only when it
-    /// lands in a domain (and below a prefix bound) the verdict actually
-    /// consulted. Evictions are a subset of `Exact`'s, which are a subset of
-    /// `RelationLevel`'s, at identical access sequences, answers and final
-    /// configurations.
+    /// Precise read-set invalidation: every computed verdict records the
+    /// store reads its decision procedure actually consulted — `(relation,
+    /// value)` pairs, and the active-domain walks of the witness searches
+    /// per domain and, where the backtracking enumeration was cut off by its
+    /// budget, per visited *prefix* of the sorted candidate list. Committed
+    /// inserts become events drained to fixpoint after each growing
+    /// response, and a verdict is evicted only when an event touches a read
+    /// it made: a new value evicts it only when it lands in a domain (and
+    /// below a prefix bound) the verdict consulted. Evictions are a subset
+    /// of `RelationLevel`'s, at identical access sequences, answers and
+    /// final configurations.
     #[default]
     Precise,
-    /// Exact read-set invalidation: every computed verdict records the
-    /// `(relation, value)` pairs its decision procedure actually consulted;
-    /// committed inserts become events drained to fixpoint after each
-    /// growing response, and a verdict is evicted only when an event
-    /// touches a pair it read. Active-domain walks are recorded coarsely
-    /// (any new value anywhere touches them) — on adom-flooding workloads
-    /// this evicts nearly everything; [`InvalidationMode::Precise`] fixes
-    /// that. Kept as the intermediate differential baseline.
-    Exact,
     /// Legacy relation-level invalidation: each verdict carries a coarse
     /// relation dependency set (global for dependent-method LTR) and any
     /// growth of a dep relation evicts it. Kept as the differential
@@ -71,8 +52,8 @@ pub enum InvalidationMode {
 }
 
 /// Options controlling a run, shared by every [`crate::Executor`]
-/// implementation (sequential engine, threaded and async batch schedulers,
-/// and the serving layer of `accrel-federation`).
+/// implementation (the sequential engine, and the threaded, async and
+/// serving executors of `accrel-federation`).
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Maximum number of accesses the engine may execute before giving up.
@@ -91,15 +72,15 @@ pub struct RunOptions {
     /// be re-checked every round (the pre-incremental behaviour; the access
     /// sequences executed must not change).
     pub use_relevance_cache: bool,
-    /// Maximum accesses prefetched per batch (1 disables speculation).
-    /// Ignored by the sequential engine.
+    /// Maximum accesses prefetched per batch (1 disables speculation). The
+    /// sequential engine runs at batch size 1.
     pub batch_size: usize,
-    /// Per-batch concurrency: worker threads for the threaded scheduler, the
-    /// in-flight future cap for the async one and the serving layer. Ignored
-    /// by the sequential engine.
+    /// Per-batch concurrency: worker threads for the threaded executor, the
+    /// in-flight future cap for the async one and the serving layer. The
+    /// sequential engine runs at batch size 1, one call at a time.
     pub workers: usize,
-    /// How follow-up accesses are predicted. Ignored by the sequential
-    /// engine.
+    /// How follow-up accesses are predicted. The sequential engine runs at
+    /// batch size 1, so it predicts nothing.
     pub speculation: SpeculationMode,
     /// How cached verdicts are invalidated on growth. Only meaningful while
     /// `use_relevance_cache` is on.
@@ -185,18 +166,5 @@ mod tests {
         // No work still yields a well-defined single worker.
         assert_eq!(RunOptions::clamp_workers(4, 0), 1);
         assert_eq!(RunOptions::clamp_workers(0, 0), 1);
-    }
-
-    #[test]
-    fn deprecated_alias_still_constructs() {
-        // The alias lives at the crate root (the one place allowed to carry
-        // it); this is deliberately the only use site in the crate.
-        #[allow(deprecated)]
-        let options = crate::EngineOptions {
-            max_accesses: 12,
-            ..Default::default()
-        };
-        assert_eq!(options.max_accesses, 12);
-        assert_eq!(options.batch_size, 8);
     }
 }

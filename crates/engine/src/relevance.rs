@@ -3,14 +3,11 @@
 //! [`RelevanceOracle`] bundles the incremental relevance-verdict cache with
 //! the strategy-driven access selection. It is the single implementation of
 //! "which access would the engine execute next, and what did deciding that
-//! cost" used by both the sequential [`crate::FederatedEngine`] and the
-//! batch scheduler of `accrel-federation` — sharing it is what makes the
-//! batched engine's verdicts *provably* the sequential engine's verdicts
-//! rather than merely similar ones.
+//! cost" used by the one [`crate::MergeLoop`] every executor drives.
 //!
 //! Every cache miss (an actual invocation of a decision procedure) is
 //! recorded in an ordered [`VerdictRecord`] log, surfaced through
-//! [`crate::RunReport::relevance_verdicts`]; the scheduler-equivalence tests
+//! [`crate::RunReport::relevance_verdicts`]; the executor-equivalence tests
 //! compare these logs between sequential and batched runs.
 
 use std::collections::{HashMap, HashSet};
@@ -21,9 +18,7 @@ use accrel_core::{
     is_immediately_relevant, is_long_term_relevant, is_long_term_relevant_trailed, SearchBudget,
 };
 use accrel_query::Query;
-use accrel_schema::{
-    AdomPrecision, Configuration, InsertEvent, ReadSet, RelationId, ValueInterner,
-};
+use accrel_schema::{Configuration, InsertEvent, ReadSet, RelationId, ValueInterner};
 
 use crate::engine::Strategy;
 use crate::options::{InvalidationMode, RunOptions};
@@ -84,7 +79,7 @@ impl DepSet {
 /// index, and — when the verdict was computed under a read recorder — the
 /// exact [`ReadSet`] its decision procedure consulted. Verdicts without a
 /// read set (shared-cache hits, checks over a borrowed configuration) fall
-/// back to the coarse dep set under exact invalidation.
+/// back to the coarse dep set under precise invalidation.
 #[derive(Debug, Clone)]
 struct CachedVerdict {
     verdict: bool,
@@ -131,7 +126,7 @@ impl RelevanceCache {
     }
 
     /// Drops every verdict whose recorded read set is touched by `event`
-    /// (exact invalidation; verdicts without a read set fall back to their
+    /// (precise invalidation; verdicts without a read set fall back to their
     /// coarse dependency set). Returns how many verdicts were evicted.
     ///
     /// The coarse dependency set and the read set are *both* sound
@@ -140,7 +135,7 @@ impl RelevanceCache {
     /// the decision procedure is a deterministic function of its recorded
     /// reads — so a verdict needs eviction only when **both** fire. Taking
     /// the intersection also pins the ordering invariant the differential
-    /// fuzzer checks: exact-mode evictions are a subset of relation-level
+    /// fuzzer checks: precise-mode evictions are a subset of relation-level
     /// evictions at every growth point, never a superset (a read set may
     /// name active-domain probes the coarse `Relations` set deliberately
     /// excludes).
@@ -169,8 +164,8 @@ type SharedKey = (u64, RelevanceKind, Access, Vec<(RelationId, usize)>);
 
 #[derive(Debug, Default)]
 struct SharedVerdictState {
-    /// Verdict plus the exact read set the publishing run recorded (when it
-    /// ran under exact invalidation over an owned configuration). Restoring
+    /// Verdict plus the read set the publishing run recorded (when it ran
+    /// under precise invalidation over an owned configuration). Restoring
     /// the read set on a hit is what lets a warm-started run evict the
     /// verdict at exactly the same growth points as the run that published
     /// it — without it the warm run falls back to coarse eviction,
@@ -336,8 +331,8 @@ impl SharedVerdictCache {
 /// `Shared` is the original read-only path: the dependent-access witness
 /// search snapshots the configuration internally before replaying tentative
 /// responses. `Owned` is the trail-backed path for callers that hold the
-/// configuration mutably (the sequential engine loop, the batch scheduler's
-/// eager predictor): tentative responses are applied to the live store under
+/// configuration mutably (the merge loop's selection and its eager
+/// predictor): tentative responses are applied to the live store under
 /// a trail mark and undone in place, so a speculative probe performs zero
 /// shard copies. Both paths compute identical verdicts — only the mutation
 /// mechanics differ — so they share one caching body in
@@ -379,14 +374,11 @@ impl ConfAccess<'_> {
     }
 
     /// Runs the decision procedure like [`ConfAccess::run`], additionally
-    /// recording the store reads it performs when `track` carries an
-    /// [`AdomPrecision`] and the caller owns the configuration (`Coarse`
-    /// records every active-domain walk as a global read — exact mode;
-    /// `Precise` records walks per domain/visited prefix). Returns the
-    /// verdict together with the recorded [`ReadSet`] (`None` when tracking
-    /// was off or impossible — the `Shared` path holds the configuration
-    /// immutably and cannot install a recorder, so its verdicts keep the
-    /// coarse dependency set).
+    /// recording the store reads it performs when `track` is set and the
+    /// caller owns the configuration. Returns the verdict together with the
+    /// recorded [`ReadSet`] (`None` when tracking was off or impossible —
+    /// the `Shared` path holds the configuration immutably and cannot
+    /// install a recorder, so its verdicts keep the coarse dependency set).
     fn run_recorded(
         &mut self,
         kind: RelevanceKind,
@@ -394,20 +386,14 @@ impl ConfAccess<'_> {
         methods: &AccessMethods,
         budget: &SearchBudget,
         access: &Access,
-        track: Option<AdomPrecision>,
+        track: bool,
     ) -> (bool, Option<ReadSet>) {
-        let track = match self {
-            ConfAccess::Owned(_) => track,
-            ConfAccess::Shared(_) => None,
-        };
-        if let Some(precision) = track {
-            if let ConfAccess::Owned(conf) = self {
-                conf.begin_read_tracking_with(precision);
-            }
+        if let (true, ConfAccess::Owned(conf)) = (track, &mut *self) {
+            conf.begin_read_tracking();
         }
         let verdict = self.run(kind, query, methods, budget, access);
         let reads = match self {
-            ConfAccess::Owned(conf) if track.is_some() => Some(conf.take_read_set()),
+            ConfAccess::Owned(conf) if track => Some(conf.take_read_set()),
             _ => None,
         };
         (verdict, reads)
@@ -508,7 +494,7 @@ impl<'a> RelevanceOracle<'a> {
     /// Boolean, so no head-instantiation reduction runs), the independent
     /// ΣP2 procedure reads the configuration only through the query's own
     /// atoms — responses that grow other relations leave the verdict
-    /// valid, so cached verdicts (and with them the scheduler's
+    /// valid, so cached verdicts (and with them the merge loop's
     /// `CachedOnly` batches) survive those rounds.
     fn ltr_dep(&self) -> usize {
         let all_independent = self
@@ -548,17 +534,11 @@ impl<'a> RelevanceOracle<'a> {
             RelevanceKind::Immediate => self.ir_dep(),
             RelevanceKind::LongTerm => self.ltr_dep(),
         };
-        // Read-set invalidation records the store reads of every procedure
-        // run over an owned configuration (coarse adom recording for exact
-        // mode, per-domain/prefix recording for precise mode); the dep-count
-        // stamps below are read *before* the recorder is installed, so
-        // version probing never pollutes the read set.
-        let track = match self.invalidation {
-            InvalidationMode::Exact => Some(AdomPrecision::Coarse),
-            InvalidationMode::Precise => Some(AdomPrecision::Precise),
-            InvalidationMode::RelationLevel => None,
-        }
-        .filter(|_| matches!(conf, ConfAccess::Owned(_)));
+        // Precise invalidation records the store reads of every procedure
+        // run over an owned configuration; the dep-count stamps below are
+        // read *before* the recorder is installed, so version probing never
+        // pollutes the read set.
+        let track = self.invalidation == InvalidationMode::Precise;
         let (verdict, reads) = if let Some((class, shared)) = self.shared.clone() {
             let counts = self.dep_counts(dep, conf.as_ref());
             if let Some((verdict, reads)) = shared.lookup(class, kind, access, &counts) {
@@ -604,7 +584,7 @@ impl<'a> RelevanceOracle<'a> {
 
     /// The cached verdict for `kind` of `access`, if one is present. Never
     /// runs a decision procedure and never touches the hit/miss counters —
-    /// this is the speculation-safe read the batch scheduler predicts with.
+    /// this is the speculation-safe read the merge loop predicts with.
     pub fn peek(&self, kind: RelevanceKind, access: &Access) -> Option<bool> {
         if !self.use_cache {
             return None;
@@ -649,7 +629,7 @@ impl<'a> RelevanceOracle<'a> {
 
     /// Drops every cached verdict whose *coarse* dependency set contains
     /// `relation` (call after a response added facts to it). This is the
-    /// relation-level path; the engine loops go through
+    /// relation-level path; the merge loop goes through
     /// [`Self::observe_growth`], which dispatches on the configured
     /// [`InvalidationMode`].
     pub fn invalidate(&mut self, relation: RelationId) {
@@ -659,11 +639,9 @@ impl<'a> RelevanceOracle<'a> {
     }
 
     /// Reacts to a response that grew the configuration: drains the insert
-    /// events the store captured and, under [`InvalidationMode::Exact`] or
-    /// [`InvalidationMode::Precise`], evicts exactly the cached verdicts
-    /// whose recorded reads an event touches (the two modes share this
-    /// drain; they differ only in how finely the reads were recorded).
-    /// Under [`InvalidationMode::RelationLevel`] the events are discarded
+    /// events the store captured and, under [`InvalidationMode::Precise`],
+    /// evicts exactly the cached verdicts whose recorded reads an event
+    /// touches. Under [`InvalidationMode::RelationLevel`] the events are discarded
     /// and every verdict depending on `relation` (the accessed method's
     /// output relation) is evicted, reproducing the legacy behaviour
     /// verdict-for-verdict.
@@ -673,7 +651,7 @@ impl<'a> RelevanceOracle<'a> {
                 let _ = conf.take_events();
                 self.invalidate(relation);
             }
-            InvalidationMode::Exact | InvalidationMode::Precise => {
+            InvalidationMode::Precise => {
                 if !self.use_cache {
                     let _ = conf.take_events();
                     return;
@@ -724,7 +702,7 @@ impl<'a> RelevanceOracle<'a> {
         self.evictions
     }
 
-    /// Insert events drained by [`Self::observe_growth`] under exact
+    /// Insert events drained by [`Self::observe_growth`] under precise
     /// invalidation so far.
     pub fn events_drained(&self) -> usize {
         self.events_drained
@@ -757,7 +735,7 @@ impl<'a> RelevanceOracle<'a> {
     }
 
     /// The relations named by the dependency set an LTR verdict would be
-    /// cached under right now — exposed so tests and the scheduler's
+    /// cached under right now — exposed so tests and the executors'
     /// instrumentation can observe the invalidation granularity.
     pub fn ltr_dep_is_global(&self) -> bool {
         matches!(self.cache.deps[self.ltr_dep()], DepSet::All)

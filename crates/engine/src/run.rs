@@ -1,17 +1,13 @@
 //! The unified run API: [`RunRequest`] in, [`RunReport`] out.
 //!
-//! Every execution layer used to have its own hand-wired entry point —
-//! `FederatedEngine::new(..).with_options(..).run(..)` for sequential runs,
-//! `BatchScheduler::new(..)` for threaded ones, `AsyncBatchScheduler` for
-//! the virtual-clock runtime — each with a slightly different option struct
-//! and its own static `compare_strategies`. The serving layer needs to treat
-//! those uniformly (a session is just a request handed to *some* executor),
-//! so the entry shape is now a single [`RunRequest`] (query + strategy +
-//! [`RunOptions`]) executed by any [`Executor`] implementation, all
-//! returning the same [`RunReport`]. The equivalence test-grid iterates
-//! executors instead of duplicating call sites, and
-//! [`compare_strategies`] is one free function over requests rather than
-//! three inherent methods.
+//! A run is a single [`RunRequest`] (query + strategy + [`RunOptions`])
+//! executed by any [`Executor`] implementation, all returning the same
+//! [`RunReport`]. Every executor drives the one [`crate::MergeLoop`]; they
+//! differ only in how they fetch a batch of responses. The serving layer
+//! treats executors uniformly (a session is just a request handed to *some*
+//! executor), the equivalence test-grid iterates executors instead of
+//! duplicating call sites, and [`compare_strategies`] is one free function
+//! over requests.
 
 use accrel_query::Query;
 use accrel_schema::Configuration;
@@ -59,8 +55,8 @@ impl RunRequest {
 }
 
 /// Something that can execute a [`RunRequest`] from an initial
-/// configuration: the sequential engine, the threaded and async batch
-/// schedulers of `accrel-federation`, or its multi-tenant serving layer.
+/// configuration: the sequential engine, the threaded and async executors
+/// of `accrel-federation`, or its multi-tenant serving layer.
 ///
 /// The contract every implementation upholds (and the equivalence grid
 /// pins): for the same request, initial configuration and source contents,
@@ -114,10 +110,6 @@ impl Executor for Sequential<'_> {
 /// configuration and returns the reports in [`Strategy::all`] order,
 /// resetting the executor's source statistics between runs so each report
 /// carries only its own traffic.
-///
-/// This replaces the former `FederatedEngine::compare_strategies`,
-/// `BatchScheduler::compare_strategies` and
-/// `AsyncBatchScheduler::compare_strategies`: one function, any executor.
 pub fn compare_strategies<E: Executor + ?Sized>(
     executor: &E,
     request: &RunRequest,

@@ -2,7 +2,7 @@
 //! [`AsyncSource`]s, sharing one [`VirtualClock`].
 //!
 //! The registry owns the virtual clock its simulated sources draw latencies
-//! from; the async batch scheduler creates its executors over the same
+//! from; the `Async` executor creates its task executors over the same
 //! clock, so `clock().now_micros()` before and after a run measures the
 //! run's *simulated* makespan — the metric the F2 throughput sweep reports
 //! without a single real sleep.

@@ -1,24 +1,18 @@
-//! The async batch scheduler: the threaded
-//! [`BatchScheduler`](crate::BatchScheduler)'s merge loop, with batches
-//! realised as concurrently-polled futures on the hand-rolled mini-executor
-//! instead of scoped worker threads.
+//! The async executor: the engine's shared [`MergeLoop`], with each
+//! predicted batch realised as concurrently-polled futures on the
+//! hand-rolled mini-executor instead of scoped worker threads.
 //!
-//! # Determinism invariant, inherited
-//!
-//! [`AsyncBatchScheduler::run`] executes the *same*
-//! [`MergePlan`](crate::scheduler) merge loop as the threaded scheduler —
-//! not equivalent code, the same function. Concurrency enters only inside
-//! the `fetch` callback: a predicted batch's accesses are spawned as tasks
-//! on a fresh [`Executor`] over the federation's shared
-//! [`VirtualClock`](crate::VirtualClock), gated by a FIFO [`Semaphore`] of
-//! `workers` permits (the in-flight cap),
-//! and driven to completion before the merge loop consumes a single
-//! response. Responses are collected by *batch position*, never completion
-//! order, so for sources whose response is a deterministic function of the
-//! access — every adapter in this crate — an async run reports the same
-//! `access_sequence`, relevance-verdict log, answers and final
-//! configuration as the threaded scheduler and the sequential engine
-//! (pinned by the executor grid in `tests/federation_equivalence.rs`).
+//! Concurrency enters only inside the fetch: a predicted batch's accesses
+//! are spawned as tasks on a fresh [`Executor`] over the federation's
+//! shared [`VirtualClock`](crate::VirtualClock), gated by a FIFO
+//! [`Semaphore`] of `workers` permits (the in-flight cap), and driven to
+//! completion before the merge loop consumes a single response. Responses
+//! are collected by *batch position*, never completion order, so for
+//! sources whose response is a deterministic function of the access — every
+//! adapter in this crate — an async run reports the same `access_sequence`,
+//! relevance-verdict log, answers and final configuration as the threaded
+//! executor and the sequential engine (pinned by the executor grid in
+//! `tests/federation_equivalence.rs`).
 //!
 //! What changes is the *cost model*: simulated round trips are awaited on
 //! the virtual clock, so a batch's virtual makespan is its critical path
@@ -28,76 +22,15 @@
 //! The F2 harness sweep reports this throughput-vs-in-flight curve.
 
 use accrel_access::{Access, Response};
-use accrel_engine::{RunOptions, RunReport, RunRequest, Strategy};
-use accrel_query::Query;
+use accrel_engine::{MergeLoop, RunReport, RunRequest};
 use accrel_schema::Configuration;
 
 use crate::async_federation::AsyncFederation;
-use crate::error::SourceError;
 use crate::executor::{Executor, Semaphore};
-use crate::scheduler::MergePlan;
 
-/// A federated engine executing relevance-verified batches as concurrently
-/// awaited futures while preserving the sequential engine's semantics (see
-/// the module documentation).
-///
-/// The API is construction-only: build with [`AsyncBatchScheduler::new`] /
-/// [`AsyncBatchScheduler::with_options`], then [`AsyncBatchScheduler::run`].
-/// For running the same request under every strategy use
-/// [`accrel_engine::compare_strategies`] with the [`Async`] executor.
-#[derive(Debug)]
-pub struct AsyncBatchScheduler<'a> {
-    federation: &'a AsyncFederation,
-    query: Query,
-    strategy: Strategy,
-    options: RunOptions,
-}
-
-impl<'a> AsyncBatchScheduler<'a> {
-    /// Creates a scheduler for `query` over `federation` using `strategy`.
-    pub fn new(federation: &'a AsyncFederation, query: Query, strategy: Strategy) -> Self {
-        Self {
-            federation,
-            query,
-            strategy,
-            options: RunOptions::default(),
-        }
-    }
-
-    /// Replaces the run options.
-    pub fn with_options(mut self, options: RunOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Runs the batched engine from `initial`. Everything in the report
-    /// matches the threaded [`crate::BatchScheduler`] (and therefore the
-    /// sequential engine) against sources returning the same responses;
-    /// only the wall clock and the federation's *virtual* clock tell the
-    /// runs apart.
-    pub fn run(&self, initial: &Configuration) -> RunReport {
-        let stats_before = self.federation.stats();
-        let chaos_before = self.federation.chaos().map(|c| c.stats());
-        let options = self.options.normalize();
-        let plan = MergePlan {
-            query: &self.query,
-            strategy: self.strategy,
-            options: &options,
-            shared: None,
-        };
-        let mut report = plan.run(self.federation.methods(), initial, |batch| {
-            fetch_batch_async(self.federation, batch, options.workers)
-        });
-        report.source_stats = self.federation.stats().since(&stats_before).source;
-        if let (Some(chaos), Some(before)) = (self.federation.chaos(), chaos_before) {
-            report.chaos = chaos.stats().since(&before);
-        }
-        report
-    }
-}
-
-/// The async batch executor: a [`RunRequest`] handed to an
-/// [`AsyncBatchScheduler`] over an [`AsyncFederation`] on the virtual clock.
+/// The async executor: a [`RunRequest`] run by the shared merge loop over
+/// an [`AsyncFederation`] on the virtual clock, at most `workers` calls of
+/// each predicted batch in flight at once.
 #[derive(Debug, Clone, Copy)]
 pub struct Async<'a> {
     federation: &'a AsyncFederation,
@@ -116,9 +49,23 @@ impl accrel_engine::Executor for Async<'_> {
     }
 
     fn execute(&self, request: &RunRequest, initial: &Configuration) -> RunReport {
-        AsyncBatchScheduler::new(self.federation, request.query.clone(), request.strategy)
-            .with_options(request.options.clone())
-            .run(initial)
+        let stats_before = self.federation.stats();
+        let chaos_before = self.federation.chaos().map(|c| c.stats());
+        let in_flight = request.options.normalize().workers;
+        let merge = MergeLoop::new(
+            &request.query,
+            request.strategy,
+            &request.options,
+            self.federation.methods(),
+            initial,
+            None,
+        );
+        let mut report = merge.run(|batch| fetch_batch_async(self.federation, batch, in_flight));
+        report.source_stats = self.federation.stats().since(&stats_before).source;
+        if let (Some(chaos), Some(before)) = (self.federation.chaos(), chaos_before) {
+            report.chaos = chaos.stats().since(&before);
+        }
+        report
     }
 
     fn reset_stats(&self) {
@@ -129,13 +76,13 @@ impl accrel_engine::Executor for Async<'_> {
 /// Issues every access of `batch` against the federation as tasks of a
 /// fresh mini-executor over the federation's clock, at most `in_flight`
 /// awaiting a source at once (FIFO semaphore, so the admission order is the
-/// batch order). The result vector is aligned with `batch` — task
-/// completion order never shows, exactly like the threaded `fetch_batch`.
-pub(crate) fn fetch_batch_async(
+/// batch order). The result vector is aligned with `batch` (`None` for a
+/// failed call) — task completion order never shows.
+fn fetch_batch_async(
     federation: &AsyncFederation,
     batch: &[Access],
     in_flight: usize,
-) -> Vec<Result<Response, SourceError>> {
+) -> Vec<Option<Response>> {
     let executor = Executor::new(federation.clock().clone());
     let gate = Semaphore::new(in_flight);
     let handles: Vec<_> = batch
@@ -145,7 +92,7 @@ pub(crate) fn fetch_batch_async(
             let gate = gate.clone();
             executor.spawn(async move {
                 let _permit = gate.acquire().await;
-                federation.call(access).await
+                federation.call(access).await.ok()
             })
         })
         .collect();
@@ -167,12 +114,20 @@ pub(crate) fn fetch_batch_async(
 mod tests {
     use super::*;
     use crate::async_source::BlockingSource;
-    use crate::scheduler::BatchScheduler;
     use crate::source::{FlakyModel, LatencyModel, SimulatedSource};
-    use crate::Federation;
+    use crate::{Federation, Threaded};
     use accrel_core::SearchBudget;
-    use accrel_engine::scenarios::bank_scenario;
-    use accrel_engine::{DeepWebSource, FederatedEngine, ResponsePolicy};
+    use accrel_engine::scenarios::{bank_scenario, Scenario};
+    use accrel_engine::{
+        DeepWebSource, Executor as _, FederatedEngine, ResponsePolicy, RunOptions, Strategy,
+    };
+
+    /// A request for `scenario`'s query under `strategy` and `options`.
+    fn request(scenario: &Scenario, strategy: Strategy, options: RunOptions) -> RunRequest {
+        RunRequest::new(scenario.query.clone())
+            .with_strategy(strategy)
+            .with_options(options)
+    }
 
     fn bank_source(scenario: &accrel_engine::scenarios::Scenario) -> SimulatedSource {
         SimulatedSource::exact("bank", scenario.instance.clone(), scenario.methods.clone())
@@ -199,13 +154,18 @@ mod tests {
                 FederatedEngine::new(&sequential_source, scenario.query.clone(), strategy)
                     .run(&scenario.initial_configuration);
             federation.reset_stats();
-            let batched = AsyncBatchScheduler::new(&federation, scenario.query.clone(), strategy)
-                .with_options(RunOptions {
-                    batch_size: 4,
-                    workers: 3,
-                    ..RunOptions::default()
-                })
-                .run(&scenario.initial_configuration);
+            let batched = Async::new(&federation).execute(
+                &request(
+                    &scenario,
+                    strategy,
+                    RunOptions {
+                        batch_size: 4,
+                        workers: 3,
+                        ..RunOptions::default()
+                    },
+                ),
+                &scenario.initial_configuration,
+            );
             assert_eq!(batched.access_sequence, sequential.access_sequence);
             assert_eq!(batched.certain, sequential.certain);
             assert_eq!(batched.answers, sequential.answers);
@@ -225,14 +185,18 @@ mod tests {
         for in_flight in [1usize, 4] {
             let federation = AsyncFederation::single_simulated(bank_source(&scenario));
             let before = federation.clock().now_micros();
-            let report =
-                AsyncBatchScheduler::new(&federation, scenario.query.clone(), Strategy::Exhaustive)
-                    .with_options(RunOptions {
+            let report = Async::new(&federation).execute(
+                &request(
+                    &scenario,
+                    Strategy::Exhaustive,
+                    RunOptions {
                         batch_size: 8,
                         workers: in_flight,
                         ..RunOptions::default()
-                    })
-                    .run(&scenario.initial_configuration);
+                    },
+                ),
+                &scenario.initial_configuration,
+            );
             assert!(report.certain);
             elapsed.push((report, federation.clock().now_micros() - before));
         }
@@ -274,14 +238,19 @@ mod tests {
                     .with_options(engine_options.clone())
                     .run(&scenario.initial_configuration);
             federation.reset_stats();
-            let batched = AsyncBatchScheduler::new(&federation, scenario.query.clone(), strategy)
-                .with_options(RunOptions {
-                    batch_size: 3,
-                    workers: 2,
-                    speculation: accrel_engine::SpeculationMode::Eager,
-                    ..engine_options.clone()
-                })
-                .run(&scenario.initial_configuration);
+            let batched = Async::new(&federation).execute(
+                &request(
+                    &scenario,
+                    strategy,
+                    RunOptions {
+                        batch_size: 3,
+                        workers: 2,
+                        speculation: accrel_engine::SpeculationMode::Eager,
+                        ..engine_options.clone()
+                    },
+                ),
+                &scenario.initial_configuration,
+            );
             assert_eq!(batched.access_sequence, sequential.access_sequence);
             assert_eq!(batched.relevance_verdicts, sequential.relevance_verdicts);
             assert!(batched
@@ -312,31 +281,22 @@ mod tests {
             .with_latency(LatencyModel::recorded(50))
             .with_flaky(flaky.clone())
         };
-        let threaded_federation = Federation::single(build());
-        let threaded = BatchScheduler::new(
-            &threaded_federation,
-            scenario.query.clone(),
+        let request = request(
+            &scenario,
             Strategy::Exhaustive,
-        )
-        .with_options(RunOptions {
-            batch_size: 4,
-            workers: 2,
-            ..RunOptions::default()
-        })
-        .run(&scenario.initial_configuration);
+            RunOptions {
+                batch_size: 4,
+                workers: 2,
+                ..RunOptions::default()
+            },
+        );
+        let threaded_federation = Federation::single(build());
+        let threaded =
+            Threaded::new(&threaded_federation).execute(&request, &scenario.initial_configuration);
 
         let async_federation = AsyncFederation::single_simulated(build());
-        let asynced = AsyncBatchScheduler::new(
-            &async_federation,
-            scenario.query.clone(),
-            Strategy::Exhaustive,
-        )
-        .with_options(RunOptions {
-            batch_size: 4,
-            workers: 2,
-            ..RunOptions::default()
-        })
-        .run(&scenario.initial_configuration);
+        let asynced =
+            Async::new(&async_federation).execute(&request, &scenario.initial_configuration);
 
         // Every call failed on both paths, and the split is identical.
         assert_eq!(threaded.source_stats, asynced.source_stats);
@@ -368,17 +328,13 @@ mod tests {
                 retries: 2,
             })
         };
+        let request = request(&scenario, Strategy::Hybrid, RunOptions::default());
         let threaded_federation = Federation::single(build());
-        let threaded = BatchScheduler::new(
-            &threaded_federation,
-            scenario.query.clone(),
-            Strategy::Hybrid,
-        )
-        .run(&scenario.initial_configuration);
+        let threaded =
+            Threaded::new(&threaded_federation).execute(&request, &scenario.initial_configuration);
         let async_federation = AsyncFederation::single_simulated(build());
         let asynced =
-            AsyncBatchScheduler::new(&async_federation, scenario.query.clone(), Strategy::Hybrid)
-                .run(&scenario.initial_configuration);
+            Async::new(&async_federation).execute(&request, &scenario.initial_configuration);
         assert!(threaded.certain && asynced.certain);
         assert_eq!(threaded.source_stats, asynced.source_stats);
         assert_eq!(
@@ -389,8 +345,8 @@ mod tests {
         assert!(asynced.source_stats.retries > 0);
     }
 
-    /// Satellite: dropping the executor mid-batch (what dropping a
-    /// scheduler mid-run amounts to — the batch futures die with it) leaks
+    /// Satellite: dropping the executor mid-batch (what dropping an async
+    /// run mid-way amounts to — the batch futures die with it) leaks
     /// no tasks or timers and leaves the federation consistent for the next
     /// run.
     #[test]
@@ -438,8 +394,10 @@ mod tests {
         let sequential =
             FederatedEngine::new(&sequential_source, scenario.query.clone(), Strategy::Hybrid)
                 .run(&scenario.initial_configuration);
-        let rerun = AsyncBatchScheduler::new(&federation, scenario.query.clone(), Strategy::Hybrid)
-            .run(&scenario.initial_configuration);
+        let rerun = Async::new(&federation).execute(
+            &request(&scenario, Strategy::Hybrid, RunOptions::default()),
+            &scenario.initial_configuration,
+        );
         assert_eq!(rerun.access_sequence, sequential.access_sequence);
         assert!(rerun
             .final_configuration
@@ -454,9 +412,10 @@ mod tests {
             scenario.instance.clone(),
             scenario.methods.clone(),
         )));
-        let report =
-            AsyncBatchScheduler::new(&federation, scenario.query.clone(), Strategy::Exhaustive)
-                .run(&scenario.initial_configuration);
+        let report = Async::new(&federation).execute(
+            &request(&scenario, Strategy::Exhaustive, RunOptions::default()),
+            &scenario.initial_configuration,
+        );
         assert!(report.certain);
         assert_eq!(federation.clock().now_micros(), 0);
         assert!(report.source_stats.calls >= report.accesses_made);
@@ -466,11 +425,15 @@ mod tests {
     fn compare_strategies_resets_stats_between_runs() {
         let scenario = bank_scenario();
         let federation = AsyncFederation::single_simulated(bank_source(&scenario));
-        let request = RunRequest::new(scenario.query.clone()).with_options(RunOptions {
-            max_accesses: 12,
-            budget: SearchBudget::shallow(),
-            ..RunOptions::default()
-        });
+        let request = request(
+            &scenario,
+            Strategy::Hybrid,
+            RunOptions {
+                max_accesses: 12,
+                budget: SearchBudget::shallow(),
+                ..RunOptions::default()
+            },
+        );
         let reports = accrel_engine::compare_strategies(
             &Async::new(&federation),
             &request,

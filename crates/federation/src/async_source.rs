@@ -45,7 +45,7 @@ pub type SourceFuture<'a> = Pin<Box<dyn Future<Output = Result<Response, SourceE
 /// only by awaiting [`AsyncSource::call`]. The contract mirrors [`Source`]
 /// member for member; implementations whose response is a deterministic
 /// function of the access alone (every adapter in this crate) inherit the
-/// batch scheduler's sequential-equivalence guarantee.
+/// merge loop's sequential-equivalence guarantee.
 ///
 /// **Suspension contract:** the runtime driving these futures is the
 /// single-threaded mini-executor, which advances the shared
@@ -54,7 +54,7 @@ pub type SourceFuture<'a> = Pin<Box<dyn Future<Output = Result<Response, SourceE
 /// (directly or transitively through [`VirtualClock::sleep`] /
 /// [`crate::Semaphore`]) or resolve without suspending — a future woken
 /// from another thread (real I/O, a channel) is reported as stuck by
-/// [`crate::Executor::run`] and fails the async scheduler's run with a
+/// [`crate::Executor::run`] and fails the async executor's run with a
 /// panic. Bridging genuinely external work needs a reactor behind this
 /// trait (see the ROADMAP's "real async I/O" item); until then, wrap
 /// blocking sources in [`BlockingSource`].

@@ -12,11 +12,12 @@
 //!   policies.
 //! * [`Federation`] — the registry mapping access methods to the sources
 //!   that serve them, with per-source and aggregate [`BackendStats`].
-//! * [`BatchScheduler`] — executes relevance-verified batches of accesses
-//!   concurrently through `std::thread::scope` while reporting exactly the
-//!   sequential engine's `access_sequence`, relevance verdicts, certain
-//!   answers and final configuration (see the [`scheduler`] module docs for
-//!   the determinism invariant).
+//! * [`Threaded`] — drives the engine's one round loop,
+//!   [`accrel_engine::MergeLoop`], fetching each relevance-verified batch of
+//!   accesses concurrently through `std::thread::scope` while reporting
+//!   exactly the sequential engine's `access_sequence`, relevance verdicts,
+//!   certain answers and final configuration (see [`accrel_engine::merge`]
+//!   for the determinism invariant).
 //! * [`parallel_relevance_sweep`] — fan-out evaluation of the (pure)
 //!   relevance decision procedures across worker threads, each holding an
 //!   O(relations) copy-on-write snapshot of the configuration
@@ -39,12 +40,12 @@
 //!   source (e.g. [`PolicySource`]) into a one-poll future.
 //! * [`AsyncFederation`] — the routing registry over async sources, owning
 //!   the shared virtual clock.
-//! * [`AsyncBatchScheduler`] — the *same* merge loop as [`BatchScheduler`]
-//!   (shared, not copied), with batches realised as concurrently-polled
-//!   futures capped by a FIFO [`Semaphore`] of `workers` permits; its
-//!   sequential equivalence is pinned by the async grid in
-//!   `tests/federation_equivalence.rs`, and `clock().now_micros()` measures
-//!   a run's simulated makespan (the F2 harness sweep).
+//! * [`Async`] — the *same* merge loop (shared, not copied), with batches
+//!   realised as concurrently-polled futures capped by a FIFO [`Semaphore`]
+//!   of `workers` permits; its sequential equivalence is pinned by the
+//!   async grid in `tests/federation_equivalence.rs`, and
+//!   `clock().now_micros()` measures a run's simulated makespan (the F2
+//!   harness sweep).
 //!
 //! ## The serving layer
 //!
@@ -61,11 +62,12 @@
 //!
 //! All execution layers answer the same [`accrel_engine::RunRequest`]
 //! through the [`accrel_engine::Executor`] trait: the engine crate's
-//! [`accrel_engine::Sequential`], this crate's [`Threaded`] (scoped-thread
-//! batches over a [`Federation`]), [`Async`] (virtual-clock futures over an
-//! [`AsyncFederation`]) and [`Serving`] (one session on
-//! the multi-tenant registry). The equivalence grid iterates executors, not
-//! bespoke scheduler APIs.
+//! [`accrel_engine::Sequential`] (one blocking call at a time), this
+//! crate's [`Threaded`] (scoped-thread batches over a [`Federation`]),
+//! [`Async`] (virtual-clock futures over an [`AsyncFederation`]) and
+//! [`Serving`] (one session on the multi-tenant registry). All four drive
+//! the one [`accrel_engine::MergeLoop`] and differ only in how they fetch a
+//! batch; the equivalence grid iterates executors.
 //!
 //! Garrison & Lee-style actor simulations motivate the backend models:
 //! heterogeneous latency/failure behaviour makes the runtime measurable
@@ -88,7 +90,7 @@ mod source;
 mod sweep;
 
 pub use async_federation::{AsyncFederation, AsyncFederationBuilder};
-pub use async_scheduler::{Async, AsyncBatchScheduler};
+pub use async_scheduler::Async;
 pub use async_source::{AsyncSimulatedSource, AsyncSource, BlockingSource, SourceFuture};
 pub use chaos::{
     BreakerOptions, BreakerState, ChaosController, ChaosOptions, ChurnAction, ChurnEvent,
@@ -98,27 +100,7 @@ pub use error::{FederationError, SourceError};
 pub use executor::{yield_now, Executor, JoinHandle, Semaphore, Sleep, VirtualClock, YieldNow};
 pub use federation::{Federation, FederationBuilder};
 pub use journal::RunJournal;
-pub use scheduler::{BatchScheduler, Threaded};
+pub use scheduler::Threaded;
 pub use serving::{QuerySessionRegistry, Serving, ServingOptions, ServingReport, SessionReport};
 pub use source::{BackendStats, FlakyModel, LatencyModel, PolicySource, SimulatedSource, Source};
 pub use sweep::{parallel_relevance_sweep, parallel_relevance_sweep_report, SweepReport};
-
-/// Re-exported from `accrel-engine` so existing
-/// `accrel_federation::SpeculationMode` imports keep compiling now that the
-/// speculation knob lives on [`accrel_engine::RunOptions`].
-pub use accrel_engine::{InvalidationMode, SpeculationMode};
-
-/// The historical name of the threaded scheduler's options; the `engine`
-/// nesting is gone — the engine fields live directly on
-/// [`accrel_engine::RunOptions`].
-#[deprecated(since = "0.1.0", note = "renamed to `RunOptions` (now flat)")]
-pub type BatchOptions = accrel_engine::RunOptions;
-
-/// The historical name of the async scheduler's options; the `engine`
-/// nesting is gone and the `in_flight` knob is
-/// [`accrel_engine::RunOptions::workers`].
-#[deprecated(
-    since = "0.1.0",
-    note = "renamed to `RunOptions` (in_flight is now `workers`)"
-)]
-pub type AsyncBatchOptions = accrel_engine::RunOptions;

@@ -1,128 +1,26 @@
-//! The batch scheduler: sequential semantics, concurrent execution.
+//! The threaded executor: the engine's shared [`MergeLoop`], with each
+//! predicted batch fetched across `std::thread::scope` workers.
 //!
-//! # Determinism invariant
-//!
-//! [`BatchScheduler::run`] executes the *same* round structure as the
-//! sequential [`accrel_engine::FederatedEngine`]: every round it refreshes the incremental
-//! access frontier, asks the shared [`RelevanceOracle`] which access the
-//! strategy would execute next, applies that access's response, and evicts
-//! cached verdicts through the oracle's growth observer (exact read-set
-//! events by default, per-relation under
-//! [`accrel_engine::InvalidationMode::RelationLevel`]) — the identical code
-//! path, with identical candidate ordering (the sorted pending set). Concurrency enters
-//! *only* through speculative response prefetching: before calling the
-//! source for the selected access, the scheduler predicts the accesses the
-//! strategy would pick next if every response were empty (from cached
-//! verdicts alone, or — under [`SpeculationMode::Eager`] — via a scratch
-//! copy of the oracle, so predictions never touch the authoritative verdict
-//! log), partitions this relevance-verified batch across
-//! `std::thread::scope` workers, and caches the responses. The merge loop
-//! then consumes cached responses in selection order — deterministically,
-//! regardless of which worker finished first.
-//!
-//! Consequently, for sources whose response to an access is a deterministic
-//! function of the access alone — every [`crate::SimulatedSource`], and
+//! The loop consumes responses in selection order, regardless of which
+//! worker finished first, so for sources whose response is a deterministic
+//! function of the access — every [`crate::SimulatedSource`], and
 //! [`crate::PolicySource`] under **all** engine policies (`Exact`, `FirstK`,
 //! and `SoundSample`, which samples from an RNG hash-seeded per access) — a
-//! batched run reports the **same** `access_sequence`, relevance-verdict
+//! threaded run reports the **same** `access_sequence`, relevance-verdict
 //! log, certain-answer verdict, answers and final configuration as the
-//! sequential engine, for every strategy — only the wall-clock and the
-//! per-source call counts (speculative prefetches) differ. The equivalence
-//! grid in `tests/federation_equivalence.rs` pins all three policies.
-//!
-//! Mispredicted prefetches are not discarded: a deterministic response
-//! fetched early stays valid, so it is kept in the response cache until the
-//! merge loop selects its access (or the run ends, which is the only way a
-//! prefetch is wasted — reported in [`BatchStats::speculative_wasted`]).
-//!
-//! # The sans-IO merge loop
-//!
-//! The loop itself is the crate-private `MergeLoop` state machine:
-//! `MergeLoop::step` advances rounds until it either finishes
-//! (`MergeStep::Done`) or needs responses for a predicted batch
-//! (`MergeStep::Fetch`), which the caller realises however it likes —
-//! scoped worker threads here, concurrently polled futures in
-//! [`crate::AsyncBatchScheduler`], dedup-shared futures in the serving
-//! layer — and hands back via `MergeLoop::supply`. Keeping the loop free
-//! of I/O is what lets three execution models share one implementation,
-//! so their equivalence holds by construction.
+//! sequential engine, for every strategy (see the determinism invariant in
+//! [`accrel_engine::merge`]). Only the wall clock and the per-source call
+//! counts (speculative prefetches) differ. The equivalence grid in
+//! `tests/federation_equivalence.rs` pins all three policies.
 
-use std::collections::{BTreeSet, HashMap};
+use accrel_engine::{MergeLoop, RunReport, RunRequest};
+use accrel_schema::Configuration;
 
-use accrel_access::enumerate::EnumerationOptions;
-use accrel_access::frontier::AccessFrontier;
-use accrel_access::{apply_access_in_place, Access, AccessMethods, Response};
-use accrel_engine::relevance::SharedVerdictCache;
-use accrel_engine::{
-    BatchStats, RelevanceKind, RelevanceOracle, RunOptions, RunReport, RunRequest, SpeculationMode,
-    Strategy,
-};
-use accrel_query::{certain, Query};
-use accrel_schema::{Configuration, TrailOps, Value};
-
-use crate::error::SourceError;
 use crate::federation::Federation;
 
-/// A federated engine that executes relevance-verified batches of accesses
-/// concurrently while preserving the sequential engine's semantics (see the
-/// module documentation for the determinism invariant).
-///
-/// The API is construction-only: build with [`BatchScheduler::new`] /
-/// [`BatchScheduler::with_options`], then [`BatchScheduler::run`]. For
-/// running the same request under every strategy use
-/// [`accrel_engine::compare_strategies`] with the [`Threaded`] executor.
-#[derive(Debug)]
-pub struct BatchScheduler<'a> {
-    federation: &'a Federation,
-    query: Query,
-    strategy: Strategy,
-    options: RunOptions,
-}
-
-impl<'a> BatchScheduler<'a> {
-    /// Creates a scheduler for `query` over `federation` using `strategy`.
-    pub fn new(federation: &'a Federation, query: Query, strategy: Strategy) -> Self {
-        Self {
-            federation,
-            query,
-            strategy,
-            options: RunOptions::default(),
-        }
-    }
-
-    /// Replaces the run options.
-    pub fn with_options(mut self, options: RunOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Runs the batched engine from `initial`. The returned report's
-    /// `batch_stats` describe the speculation traffic; everything else
-    /// matches what [`accrel_engine::FederatedEngine::run`] would report against sources
-    /// returning the same responses.
-    pub fn run(&self, initial: &Configuration) -> RunReport {
-        let stats_before = self.federation.stats();
-        let chaos_before = self.federation.chaos().map(|c| c.stats());
-        let options = self.options.normalize();
-        let plan = MergePlan {
-            query: &self.query,
-            strategy: self.strategy,
-            options: &options,
-            shared: None,
-        };
-        let mut report = plan.run(self.federation.methods(), initial, |batch| {
-            fetch_batch(self.federation, batch, options.workers)
-        });
-        report.source_stats = self.federation.stats().since(&stats_before).source;
-        if let (Some(chaos), Some(before)) = (self.federation.chaos(), chaos_before) {
-            report.chaos = chaos.stats().since(&before);
-        }
-        report
-    }
-}
-
-/// The threaded batch executor: a [`RunRequest`] handed to a
-/// [`BatchScheduler`] over a [`Federation`] of thread-safe sources.
+/// The threaded executor: a [`RunRequest`] run by the shared merge loop
+/// over a [`Federation`] of thread-safe sources, each predicted batch
+/// partitioned across at most `workers` scoped threads.
 #[derive(Debug, Clone, Copy)]
 pub struct Threaded<'a> {
     federation: &'a Federation,
@@ -141,9 +39,28 @@ impl accrel_engine::Executor for Threaded<'_> {
     }
 
     fn execute(&self, request: &RunRequest, initial: &Configuration) -> RunReport {
-        BatchScheduler::new(self.federation, request.query.clone(), request.strategy)
-            .with_options(request.options.clone())
-            .run(initial)
+        let stats_before = self.federation.stats();
+        let chaos_before = self.federation.chaos().map(|c| c.stats());
+        let merge = MergeLoop::new(
+            &request.query,
+            request.strategy,
+            &request.options,
+            self.federation.methods(),
+            initial,
+            None,
+        );
+        // The result vector is aligned with the batch — thread completion
+        // order never shows.
+        let mut report = merge.run(|batch| {
+            crate::sweep::parallel_map(batch, request.options.workers, |a| {
+                self.federation.call(a).ok()
+            })
+        });
+        report.source_stats = self.federation.stats().since(&stats_before).source;
+        if let (Some(chaos), Some(before)) = (self.federation.chaos(), chaos_before) {
+            report.chaos = chaos.stats().since(&before);
+        }
+        report
     }
 
     fn reset_stats(&self) {
@@ -151,439 +68,17 @@ impl accrel_engine::Executor for Threaded<'_> {
     }
 }
 
-/// What a [`MergeLoop::step`] asks of its driver.
-pub(crate) enum MergeStep {
-    /// Call the sources for this predicted batch and hand the responses back
-    /// through [`MergeLoop::supply`], then step again.
-    Fetch(Vec<Access>),
-    /// The run is over; take the report with [`MergeLoop::into_report`].
-    Done,
-}
-
-/// The strategy-faithful merge loop as a sans-IO state machine, shared
-/// verbatim by the threaded [`BatchScheduler`], the async
-/// [`crate::AsyncBatchScheduler`] and the serving layer's sessions: round
-/// structure, candidate ordering, oracle selection, batch prediction and
-/// response merging are this one implementation — the drivers differ *only*
-/// in how they realise a [`MergeStep::Fetch`]. That sharing is what upgrades
-/// "the concurrent schedulers behave like the sequential engine" from a
-/// property to be tested into one that holds by construction (the
-/// equivalence grids still pin it).
-pub(crate) struct MergeLoop<'q> {
-    query: &'q Query,
-    strategy: Strategy,
-    options: RunOptions,
-    methods: &'q AccessMethods,
-    conf: Configuration,
-    copies_before: u64,
-    trail_before: TrailOps,
-    accesses_made: usize,
-    accesses_skipped: usize,
-    tuples_retrieved: usize,
-    rounds: usize,
-    access_sequence: Vec<Access>,
-    oracle: RelevanceOracle<'q>,
-    frontier: AccessFrontier,
-    pending: BTreeSet<Access>,
-    prefetched: HashMap<Access, Result<Response, SourceError>>,
-    batch_stats: BatchStats,
-    /// The access selected when the last `Fetch` was returned; consumed at
-    /// the top of the next `step` once its response has been supplied.
-    awaiting: Option<Access>,
-}
-
-impl<'q> MergeLoop<'q> {
-    /// A merge loop for `query` from `initial`. `shared` optionally attaches
-    /// a cross-session [`SharedVerdictCache`] under the given verdict class
-    /// (see the serving layer). Options are normalized on entry.
-    pub(crate) fn new(
-        query: &'q Query,
-        strategy: Strategy,
-        options: &RunOptions,
-        methods: &'q AccessMethods,
-        initial: &Configuration,
-        shared: Option<(u64, SharedVerdictCache)>,
-    ) -> Self {
-        let options = options.normalize();
-        let mut conf = initial.snapshot();
-        // Own the working copy outright: the merge loop speculates on its
-        // live store under trail marks, and detaching the (small) initial
-        // shards up front keeps those probes free of lazy copy-on-write
-        // detaches.
-        conf.own_all_shards();
-        // Committed inserts queue invalidation events for the oracle;
-        // speculative (trailed) inserts roll back without queueing.
-        conf.set_event_capture(true);
-        let copies_before = conf.shard_copies();
-        let trail_before = conf.trail_ops();
-        let mut oracle = RelevanceOracle::new(query, methods, &options);
-        if let Some((class, cache)) = shared {
-            oracle = oracle.with_shared_cache(class, cache);
-        }
-        let enum_options = EnumerationOptions {
-            guessable_values: guessable_pool(query, &options, initial),
-            max_accesses: usize::MAX,
-        };
-        let frontier = AccessFrontier::new(methods, enum_options);
-        let batch_stats = BatchStats {
-            workers: options.workers,
-            ..BatchStats::default()
-        };
-        Self {
-            query,
-            strategy,
-            options,
-            methods,
-            conf,
-            copies_before,
-            trail_before,
-            accesses_made: 0,
-            accesses_skipped: 0,
-            tuples_retrieved: 0,
-            rounds: 0,
-            access_sequence: Vec::new(),
-            oracle,
-            frontier,
-            pending: BTreeSet::new(),
-            prefetched: HashMap::new(),
-            batch_stats,
-            awaiting: None,
-        }
-    }
-
-    /// Advances the loop: consumes the previously awaited response (if a
-    /// `Fetch` was outstanding), then runs rounds until the next batch is
-    /// needed or the run finishes. Round counting is identical to the
-    /// sequential engine's — the `Fetch` boundary falls where the historical
-    /// in-line loop called the sources, mid-round.
-    pub(crate) fn step(&mut self) -> MergeStep {
-        if let Some(access) = self.awaiting.take() {
-            self.consume(access);
-        }
-        loop {
-            self.rounds += 1;
-            if self.options.stop_when_certain
-                && self.query.is_boolean()
-                && certain::is_certain(self.query, &self.conf)
-            {
-                return MergeStep::Done;
-            }
-            if self.accesses_made >= self.options.max_accesses {
-                return MergeStep::Done;
-            }
-            let fresh = self.frontier.refresh(&self.conf, self.methods);
-            self.pending.extend(fresh);
-            if self.pending.is_empty() {
-                return MergeStep::Done;
-            }
-            let selected = {
-                let candidates: Vec<&Access> = self.pending.iter().collect();
-                // The loop owns `conf`: relevance checks speculate on the
-                // live store under trail marks, exactly as the sequential
-                // engine does.
-                self.oracle.select_trailed(
-                    self.strategy,
-                    &candidates,
-                    &mut self.conf,
-                    &mut self.accesses_skipped,
-                )
-            };
-            let Some(access) = selected else {
-                return MergeStep::Done;
-            };
-            self.pending.remove(&access);
-
-            if !self.prefetched.contains_key(&access) {
-                let allowance = self
-                    .options
-                    .max_accesses
-                    .saturating_sub(self.accesses_made)
-                    .max(1);
-                let copies_at_predict = self.conf.shard_copies();
-                let batch = self.predict_batch(&access, allowance);
-                self.batch_stats.speculative_shard_copies +=
-                    self.conf.shard_copies() - copies_at_predict;
-                self.batch_stats.batches += 1;
-                self.batch_stats.max_batch = self.batch_stats.max_batch.max(batch.len());
-                self.batch_stats.batched_calls += batch.len();
-                self.awaiting = Some(access);
-                return MergeStep::Fetch(batch);
-            }
-            self.consume(access);
-        }
-    }
-
-    /// Hands the responses of a `Fetch`'s batch back to the loop (aligned
-    /// with the batch slice).
-    pub(crate) fn supply(
-        &mut self,
-        batch: Vec<Access>,
-        responses: Vec<Result<Response, SourceError>>,
-    ) {
-        debug_assert_eq!(responses.len(), batch.len(), "fetch must align with batch");
-        for (a, r) in batch.into_iter().zip(responses) {
-            self.prefetched.insert(a, r);
-        }
-    }
-
-    /// Applies the response of the selected access: failed calls consume the
-    /// candidate without a response (the sequential engine's behaviour);
-    /// successful ones grow the configuration and invalidate the verdicts
-    /// that inspected the grown relation.
-    fn consume(&mut self, access: Access) {
-        let response = self
-            .prefetched
-            .remove(&access)
-            .expect("selected access was fetched by the driver");
-        let Ok(response) = response else {
-            return;
-        };
-        self.tuples_retrieved += response.len();
-        self.accesses_made += 1;
-        self.access_sequence.push(access.clone());
-        let before = self.conf.len();
-        // The merge loop exclusively owns its configuration (shards
-        // detached up front), so responses grow it in place — no per-round
-        // snapshot that is immediately dropped.
-        let _ = apply_access_in_place(&mut self.conf, &access, &response, self.methods);
-        if self.conf.len() > before {
-            if let Ok(m) = self.methods.get(access.method()) {
-                self.oracle.observe_growth(&mut self.conf, m.relation());
-            }
-        } else {
-            // A fully-duplicate response inserted nothing, queued no events,
-            // and must evict nothing.
-            debug_assert_eq!(self.conf.pending_events(), 0);
-        }
-    }
-
-    /// Finishes the run and produces the report. `source_stats` are left at
-    /// their default — the driver attributes source traffic, since only it
-    /// knows which registry served the calls.
-    pub(crate) fn into_report(mut self) -> RunReport {
-        self.batch_stats.speculative_wasted = self.prefetched.len();
-        RunReport {
-            strategy: self.strategy,
-            certain: certain::is_certain(self.query, &self.conf),
-            answers: certain::certain_answers(self.query, &self.conf),
-            accesses_made: self.accesses_made,
-            accesses_skipped: self.accesses_skipped,
-            tuples_retrieved: self.tuples_retrieved,
-            rounds: self.rounds,
-            relevance_cache_hits: self.oracle.hits(),
-            relevance_cache_misses: self.oracle.misses(),
-            relevance_shared_hits: self.oracle.shared_hits(),
-            reads_tracked: self.oracle.reads_tracked(),
-            evictions: self.oracle.evictions(),
-            events_drained: self.oracle.events_drained(),
-            access_sequence: self.access_sequence,
-            relevance_verdicts: self.oracle.take_log(),
-            source_stats: Default::default(),
-            chaos: Default::default(),
-            batch_stats: self.batch_stats,
-            shard_copies: self.conf.shard_copies() - self.copies_before,
-            trail_ops: self.conf.trail_ops().since(self.trail_before),
-            final_configuration: self.conf,
-        }
-    }
-
-    /// The batch the strategy would execute next if every response were
-    /// empty: the selected access plus up to `batch_size - 1` follow-ups.
-    /// Accesses whose responses are already cached are skipped — their round
-    /// trip is already paid for.
-    fn predict_batch(&mut self, first: &Access, allowance: usize) -> Vec<Access> {
-        let limit = self.options.batch_size.min(allowance).max(1);
-        let mut batch = vec![first.clone()];
-        if limit == 1 {
-            return batch;
-        }
-        match self.options.speculation {
-            SpeculationMode::Eager => self.predict_eager(&mut batch, limit),
-            SpeculationMode::CachedOnly => self.predict_cached(&mut batch, limit),
-        }
-        batch
-    }
-
-    /// Eager prediction: replay the strategy's selection on a scratch oracle
-    /// (new verdicts computed, then discarded) over the remaining pending
-    /// candidates. The replays speculate on the live configuration under
-    /// trail marks — historically each tentative-response probe here cloned
-    /// the touched shards, which at million-fact configurations made eager
-    /// speculation cost more than it saved; now the whole prediction
-    /// performs zero shard copies (pinned by
-    /// [`BatchStats::speculative_shard_copies`]).
-    fn predict_eager(&mut self, batch: &mut Vec<Access>, limit: usize) {
-        let mut scratch = self.oracle.scratch();
-        let mut rest = self.pending.clone();
-        let mut skipped = 0usize;
-        while batch.len() < limit {
-            let next = {
-                let candidates: Vec<&Access> = rest.iter().collect();
-                scratch.select_trailed(self.strategy, &candidates, &mut self.conf, &mut skipped)
-            };
-            let Some(next) = next else {
-                break;
-            };
-            rest.remove(&next);
-            if !self.prefetched.contains_key(&next) {
-                batch.push(next);
-            }
-        }
-    }
-
-    /// Cache-only prediction: walk the pending candidates in selection order
-    /// using cached verdicts alone, stopping at the first candidate whose
-    /// needed verdict is unknown (the strategy's next pick cannot be
-    /// anticipated past it without running a decision procedure).
-    fn predict_cached(&self, batch: &mut Vec<Access>, limit: usize) {
-        let push = |batch: &mut Vec<Access>, a: &Access| {
-            if !self.prefetched.contains_key(a) && !batch.contains(a) {
-                batch.push(a.clone());
-            }
-        };
-        match self.strategy {
-            Strategy::Exhaustive => {
-                for a in &self.pending {
-                    if batch.len() >= limit {
-                        break;
-                    }
-                    push(batch, a);
-                }
-            }
-            Strategy::IrGuided | Strategy::LtrGuided => {
-                let kind = if self.strategy == Strategy::IrGuided {
-                    RelevanceKind::Immediate
-                } else {
-                    RelevanceKind::LongTerm
-                };
-                for a in &self.pending {
-                    if batch.len() >= limit {
-                        break;
-                    }
-                    match self.oracle.peek(kind, a) {
-                        Some(true) => push(batch, a),
-                        Some(false) => {}
-                        None => break,
-                    }
-                }
-            }
-            Strategy::Hybrid => {
-                // IR pass: predict successive IR-relevant picks; an unknown
-                // IR verdict blocks everything after it (including the LTR
-                // fallback, which sequentially only runs when every IR
-                // verdict is false).
-                let mut all_ir_known_false = true;
-                for a in &self.pending {
-                    if batch.len() >= limit {
-                        return;
-                    }
-                    match self.oracle.peek(RelevanceKind::Immediate, a) {
-                        Some(true) => {
-                            all_ir_known_false = false;
-                            push(batch, a);
-                        }
-                        Some(false) => {}
-                        None => return,
-                    }
-                }
-                if !all_ir_known_false {
-                    return;
-                }
-                for a in &self.pending {
-                    if batch.len() >= limit {
-                        break;
-                    }
-                    match self.oracle.peek(RelevanceKind::LongTerm, a) {
-                        Some(true) => push(batch, a),
-                        Some(false) => {}
-                        None => break,
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The synchronous driver of a [`MergeLoop`]: realises each `Fetch` through
-/// a blocking callback. Both in-process schedulers are thin wrappers over
-/// this.
-pub(crate) struct MergePlan<'q> {
-    /// The query under evaluation.
-    pub(crate) query: &'q Query,
-    /// The access-selection strategy.
-    pub(crate) strategy: Strategy,
-    /// The run options.
-    pub(crate) options: &'q RunOptions,
-    /// Optional cross-session verdict sharing (class, cache).
-    pub(crate) shared: Option<(u64, SharedVerdictCache)>,
-}
-
-impl MergePlan<'_> {
-    /// Runs the merge loop from `initial`, realising each predicted batch
-    /// through `fetch` (which must return responses aligned with the batch
-    /// slice).
-    pub(crate) fn run<F>(
-        &self,
-        methods: &AccessMethods,
-        initial: &Configuration,
-        mut fetch: F,
-    ) -> RunReport
-    where
-        F: FnMut(&[Access]) -> Vec<Result<Response, SourceError>>,
-    {
-        let mut merge = MergeLoop::new(
-            self.query,
-            self.strategy,
-            self.options,
-            methods,
-            initial,
-            self.shared.clone(),
-        );
-        while let MergeStep::Fetch(batch) = merge.step() {
-            let responses = fetch(&batch);
-            merge.supply(batch, responses);
-        }
-        merge.into_report()
-    }
-}
-
-/// The pool of guessable values for independent accesses — identical to the
-/// sequential engine's pool so enumeration agrees.
-fn guessable_pool(query: &Query, options: &RunOptions, initial: &Configuration) -> Vec<Value> {
-    let mut pool = options.guessable_values.clone();
-    for c in query.constants() {
-        if !pool.contains(&c) {
-            pool.push(c);
-        }
-    }
-    for v in initial.all_values() {
-        if !pool.contains(&v) {
-            pool.push(v);
-        }
-    }
-    pool.sort();
-    pool
-}
-
-/// Issues every access of `batch` against the federation across at most
-/// `workers` scoped threads. The result vector is aligned with `batch` —
-/// thread completion order never shows.
-fn fetch_batch(
-    federation: &Federation,
-    batch: &[Access],
-    workers: usize,
-) -> Vec<Result<Response, SourceError>> {
-    crate::sweep::parallel_map(batch, workers, |a| federation.call(a))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::source::{FlakyModel, LatencyModel, SimulatedSource};
-    use accrel_engine::scenarios::bank_scenario;
-    use accrel_engine::{DeepWebSource, FederatedEngine, ResponsePolicy};
+    use accrel_engine::scenarios::{bank_scenario, Scenario};
+    use accrel_engine::{
+        DeepWebSource, Executor as _, FederatedEngine, ResponsePolicy, RunOptions, SpeculationMode,
+        Strategy,
+    };
 
-    fn bank_federation() -> (Federation, accrel_engine::scenarios::Scenario) {
+    fn bank_federation() -> (Federation, Scenario) {
         let scenario = bank_scenario();
         let federation = Federation::single(SimulatedSource::exact(
             "bank",
@@ -593,11 +88,28 @@ mod tests {
         (federation, scenario)
     }
 
+    /// A threaded run of `scenario`'s query under `strategy` and `options`.
+    fn threaded(
+        federation: &Federation,
+        scenario: &Scenario,
+        strategy: Strategy,
+        options: RunOptions,
+    ) -> RunReport {
+        let request = RunRequest::new(scenario.query.clone())
+            .with_strategy(strategy)
+            .with_options(options);
+        Threaded::new(federation).execute(&request, &scenario.initial_configuration)
+    }
+
     #[test]
     fn batched_run_answers_the_bank_query() {
         let (federation, scenario) = bank_federation();
-        let report = BatchScheduler::new(&federation, scenario.query.clone(), Strategy::Exhaustive)
-            .run(&scenario.initial_configuration);
+        let report = threaded(
+            &federation,
+            &scenario,
+            Strategy::Exhaustive,
+            RunOptions::default(),
+        );
         assert!(report.certain);
         assert!(report.accesses_made > 0);
         assert!(report.batch_stats.batches > 0);
@@ -621,13 +133,16 @@ mod tests {
                 FederatedEngine::new(&sequential_source, scenario.query.clone(), strategy)
                     .run(&scenario.initial_configuration);
             federation.reset_stats();
-            let batched = BatchScheduler::new(&federation, scenario.query.clone(), strategy)
-                .with_options(RunOptions {
+            let batched = threaded(
+                &federation,
+                &scenario,
+                strategy,
+                RunOptions {
                     batch_size: 4,
                     workers: 3,
                     ..RunOptions::default()
-                })
-                .run(&scenario.initial_configuration);
+                },
+            );
             assert_eq!(batched.access_sequence, sequential.access_sequence);
             assert_eq!(batched.certain, sequential.certain);
             assert_eq!(batched.answers, sequential.answers);
@@ -651,8 +166,12 @@ mod tests {
                 })
                 .with_paging(2);
         let federation = Federation::single(source);
-        let report = BatchScheduler::new(&federation, scenario.query.clone(), Strategy::Hybrid)
-            .run(&scenario.initial_configuration);
+        let report = threaded(
+            &federation,
+            &scenario,
+            Strategy::Hybrid,
+            RunOptions::default(),
+        );
         assert!(report.certain);
         let stats = federation.stats();
         assert!(stats.pages_fetched >= stats.source.calls);
@@ -680,14 +199,17 @@ mod tests {
                     .with_options(engine_options.clone())
                     .run(&scenario.initial_configuration);
             federation.reset_stats();
-            let batched = BatchScheduler::new(&federation, scenario.query.clone(), strategy)
-                .with_options(RunOptions {
+            let batched = threaded(
+                &federation,
+                &scenario,
+                strategy,
+                RunOptions {
                     batch_size: 3,
                     workers: 2,
                     speculation: SpeculationMode::Eager,
                     ..engine_options.clone()
-                })
-                .run(&scenario.initial_configuration);
+                },
+            );
             assert_eq!(batched.access_sequence, sequential.access_sequence);
             assert_eq!(batched.relevance_verdicts, sequential.relevance_verdicts);
             assert_eq!(batched.certain, sequential.certain);
@@ -700,13 +222,16 @@ mod tests {
     #[test]
     fn batch_size_one_disables_speculation() {
         let (federation, scenario) = bank_federation();
-        let report = BatchScheduler::new(&federation, scenario.query.clone(), Strategy::Exhaustive)
-            .with_options(RunOptions {
+        let report = threaded(
+            &federation,
+            &scenario,
+            Strategy::Exhaustive,
+            RunOptions {
                 batch_size: 1,
                 workers: 1,
                 ..RunOptions::default()
-            })
-            .run(&scenario.initial_configuration);
+            },
+        );
         assert!(report.certain);
         assert_eq!(report.batch_stats.batched_calls, report.batch_stats.batches);
         assert_eq!(report.batch_stats.speculative_wasted, 0);
@@ -716,15 +241,18 @@ mod tests {
     #[test]
     fn access_cap_bounds_prefetching_too() {
         let (federation, scenario) = bank_federation();
-        let report = BatchScheduler::new(&federation, scenario.query.clone(), Strategy::Exhaustive)
-            .with_options(RunOptions {
+        let report = threaded(
+            &federation,
+            &scenario,
+            Strategy::Exhaustive,
+            RunOptions {
                 max_accesses: 2,
                 batch_size: 16,
                 workers: 4,
                 speculation: SpeculationMode::CachedOnly,
                 ..RunOptions::default()
-            })
-            .run(&scenario.initial_configuration);
+            },
+        );
         assert_eq!(report.accesses_made, 2);
         // No batch may prefetch past the remaining access allowance.
         assert!(report.batch_stats.batched_calls <= 2 + report.batch_stats.speculative_wasted);
@@ -733,20 +261,20 @@ mod tests {
     #[test]
     fn threaded_executor_runs_requests_and_zero_workers_normalize() {
         let (federation, scenario) = bank_federation();
-        let executor = Threaded::new(&federation);
-        use accrel_engine::Executor as _;
-        assert_eq!(executor.name(), "threaded");
+        assert_eq!(Threaded::new(&federation).name(), "threaded");
         // Regression for the centralized clamp: a zero-worker, zero-batch
         // request normalizes to 1/1 instead of panicking or dividing by
         // zero, and still answers the query.
-        let request = RunRequest::new(scenario.query.clone())
-            .with_strategy(Strategy::Exhaustive)
-            .with_options(RunOptions {
+        let report = threaded(
+            &federation,
+            &scenario,
+            Strategy::Exhaustive,
+            RunOptions {
                 workers: 0,
                 batch_size: 0,
                 ..RunOptions::default()
-            });
-        let report = executor.execute(&request, &scenario.initial_configuration);
+            },
+        );
         assert!(report.certain);
         assert_eq!(report.batch_stats.workers, 1);
         assert_eq!(report.batch_stats.max_batch, 1);

@@ -47,13 +47,12 @@ use std::task::{Context, Poll, Waker};
 
 use accrel_access::{Access, Response};
 use accrel_engine::relevance::SharedVerdictCache;
-use accrel_engine::{ChaosStats, RunReport, RunRequest, SourceStats};
+use accrel_engine::{ChaosStats, MergeLoop, MergeStep, RunReport, RunRequest, SourceStats};
 use accrel_schema::Configuration;
 
 use crate::async_federation::AsyncFederation;
 use crate::error::SourceError;
 use crate::executor::{yield_now, Executor, Semaphore};
-use crate::scheduler::{MergeLoop, MergeStep};
 use crate::source::BackendStats;
 
 /// Knobs of the serving layer.
@@ -591,7 +590,7 @@ async fn fetch_deduped(
     dedup: Option<&Rc<RefCell<DedupTable>>>,
     batch: &[Access],
     stats: &mut SessionStats,
-) -> Vec<Result<Response, SourceError>> {
+) -> Vec<Option<Response>> {
     type CallFuture<'f> =
         Pin<Box<dyn Future<Output = (Result<Response, SourceError>, CallAttribution)> + 'f>>;
     let calls: Vec<CallFuture<'_>> = batch
@@ -614,7 +613,7 @@ async fn fetch_deduped(
             Ok(response) => stats.tuples_returned += response.len(),
             Err(_) => stats.failures += 1,
         }
-        responses.push(result);
+        responses.push(result.ok());
     }
     responses
 }
@@ -676,7 +675,6 @@ impl<F: Future + Unpin> Future for JoinAll<F> {
 mod tests {
     use super::*;
     use crate::async_source::BlockingSource;
-    use crate::scheduler::BatchScheduler;
     use crate::source::{LatencyModel, PolicySource};
     use accrel_engine::scenarios::{bank_scenario, Scenario};
     use accrel_engine::{DeepWebSource, ResponsePolicy, RunOptions, Strategy};
@@ -869,13 +867,8 @@ mod tests {
                 ResponsePolicy::Exact,
             ),
         ));
-        let threaded = BatchScheduler::new(
-            &threaded_federation,
-            scenario.query.clone(),
-            Strategy::Hybrid,
-        )
-        .with_options(request.options.clone())
-        .run(&scenario.initial_configuration);
+        let threaded = crate::Threaded::new(&threaded_federation)
+            .execute(&request, &scenario.initial_configuration);
         assert_eq!(report.access_sequence, threaded.access_sequence);
         assert_eq!(report.certain, threaded.certain);
         assert_eq!(report.relevance_verdicts, threaded.relevance_verdicts);

@@ -2,7 +2,7 @@
 //!
 //! [`Source`] abstracts the engine-facing contract of a deep-Web source —
 //! "answer this access with a sound response" — behind thread-safe
-//! implementations that the batch scheduler may call concurrently.
+//! implementations that the threaded executor may call concurrently.
 //!
 //! [`SimulatedSource`] composes three backend models over a hidden
 //! [`Instance`]:
@@ -19,9 +19,9 @@
 //!
 //! All three models affect *cost* (latency, retries, pages), never response
 //! *content*: a `SimulatedSource` always returns the exact matching tuples
-//! in sorted order, which is what lets the batch scheduler promise
+//! in sorted order, which is what lets the threaded executor promise
 //! sequential-equivalent semantics under concurrency (see
-//! `crate::scheduler`). [`PolicySource`] adapts the single-threaded
+//! `accrel_engine::merge`). [`PolicySource`] adapts the single-threaded
 //! [`DeepWebSource`] behind a mutex for federations that want the engine
 //! crate's policies — all of which, since sound-sampling became hash-seeded
 //! per access (the same [`Access::stable_hash`] the backend models draw

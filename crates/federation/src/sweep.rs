@@ -26,7 +26,7 @@ use accrel_schema::Configuration;
 /// Applies `f` to every item, partitioned into contiguous chunks across at
 /// most `workers` scoped threads. The result vector is aligned with `items`
 /// — worker completion order never shows. Shared by the relevance sweep and
-/// the batch scheduler's fetch loop.
+/// the threaded executor's batch fetch.
 pub(crate) fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use crate::domain::DomainId;
 use crate::relation::RelationId;
 use crate::schema::Schema;
-use crate::store::{AdomPrecision, Fact, FactStore, InsertEvent, ReadSet, TrailMark, TrailOps};
+use crate::store::{Fact, FactStore, InsertEvent, ReadSet, TrailMark, TrailOps};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Result;
@@ -142,12 +142,6 @@ impl Configuration {
         self.store.begin_read_tracking()
     }
 
-    /// Installs a read recorder with an explicit whole-adom-walk precision
-    /// (see [`FactStore::begin_read_tracking_with`] and [`AdomPrecision`]).
-    pub fn begin_read_tracking_with(&mut self, precision: AdomPrecision) {
-        self.store.begin_read_tracking_with(precision)
-    }
-
     /// Uninstalls the read recorder and returns the recorded [`ReadSet`].
     pub fn take_read_set(&mut self) -> ReadSet {
         self.store.take_read_set()
@@ -234,8 +228,8 @@ impl Configuration {
         self.store.adom_domain_mins_untracked()
     }
 
-    /// Records a per-domain active-domain walk at the installed recorder's
-    /// precision (see [`FactStore::rec_adom_walk`]).
+    /// Records a per-domain active-domain walk (see
+    /// [`FactStore::rec_adom_walk`]).
     pub fn rec_adom_walk(&self, domain: DomainId, upto: Option<&Value>) {
         self.store.rec_adom_walk(domain, upto)
     }

@@ -24,7 +24,7 @@
 //! the interner and the active-domain cache. Clones share every shard until
 //! one of them mutates; the first mutation of a *shared* shard copies that
 //! shard alone (`Arc::make_mut`), leaving every other shard shared. This is
-//! what lets the engine loop, the batch scheduler and the parallel sweep
+//! what lets the merge loop, the threaded executor and the parallel sweep
 //! workers snapshot million-fact configurations for free: read-only
 //! snapshots never copy anything, and a growing engine round pays for the
 //! accessed relation's shard (plus the adom map, plus the interner if the
@@ -40,7 +40,7 @@
 //! # Trail-based speculation
 //!
 //! Snapshots are the right tool when two handles need to *diverge* (a
-//! scheduler handing a configuration to worker threads). They are the wrong
+//! sweep handing a configuration to worker threads). They are the wrong
 //! tool for **speculation** — mutate, look, roll back — because every
 //! speculative mutation pays a shard copy that is immediately discarded. The
 //! trail layer is the classic constraint-search alternative: between
@@ -219,27 +219,6 @@ impl TrailOps {
     }
 }
 
-/// How the read recorder classifies whole-active-domain walks (the
-/// `active_domain` / valuation-enumeration reads of the decision
-/// procedures).
-///
-/// Under [`AdomPrecision::Coarse`] every such walk is recorded as
-/// [`ReadSet::adom_all`] — any value entering any domain invalidates the
-/// verdict. Under [`AdomPrecision::Precise`] the instrumented walk sites
-/// ([`FactStore::rec_adom_walk`]) record the *domain* that was walked and,
-/// when the walk was cut early by a search budget, only the visited value
-/// *prefix* ([`ReadSet::adom_prefixes`]) — so growth in an unconsulted
-/// domain, or above the visited prefix, leaves the verdict cached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdomPrecision {
-    /// Whole-adom walks record `adom_all` (the conservative pre-precise
-    /// behaviour; what [`FactStore::begin_read_tracking`] installs).
-    #[default]
-    Coarse,
-    /// Whole-adom walks record per-domain and visited-prefix entries.
-    Precise,
-}
-
 /// The exact set of store reads performed while a read recorder was
 /// installed (see [`FactStore::begin_read_tracking`]).
 ///
@@ -269,9 +248,9 @@ pub struct ReadSet {
     /// Whole-active-domain reads (`active_domain`, `all_values`).
     pub adom_all: bool,
     /// Per-abstract-domain active-domain reads (`values_of_domain`, and
-    /// precise-mode domain walks that ran to natural completion).
+    /// instrumented domain walks that ran to natural completion).
     pub adom_domains: HashSet<DomainId>,
-    /// Visited-prefix active-domain reads (precise mode only): the walk of
+    /// Visited-prefix active-domain reads: the instrumented walk of
     /// the domain was cut early by a search budget after visiting only the
     /// values `≤ bound` in sorted order. A value entering the domain
     /// *strictly below* the bound changes what the walk saw; a value at or
@@ -398,11 +377,11 @@ impl ReadSet {
 /// One committed (non-speculative) row insertion, captured on the store's
 /// insert paths while event capture is enabled
 /// ([`FactStore::set_event_capture`]). Events are the propagation currency
-/// of exact invalidation: the engine drains them after each growing
+/// of read-set invalidation: the engine drains them after each growing
 /// response and evicts exactly the cached verdicts whose [`ReadSet`] is
 /// [touched](ReadSet::touched_by).
 ///
-/// Capture assumes monotone growth (the engine loops never remove facts);
+/// Capture assumes monotone growth (the merge loop never removes facts);
 /// trailed speculative inserts are rolled back and deliberately emit no
 /// events, and duplicate inserts return before any mutation and therefore
 /// emit none either.
@@ -444,10 +423,6 @@ pub struct FactStore {
     /// recording). Behind a mutex because the read APIs take `&self`; the
     /// lock is uncontended (recording is single-owner like the trail).
     recording: Option<Mutex<ReadSet>>,
-    /// How the installed recorder classifies whole-adom walks (set by
-    /// [`FactStore::begin_read_tracking_with`]; meaningless while no
-    /// recorder is installed).
-    adom_precision: AdomPrecision,
     /// Whether committed inserts are captured as [`InsertEvent`]s.
     events_enabled: bool,
     /// Captured growth events awaiting [`FactStore::take_events`].
@@ -471,7 +446,6 @@ impl Clone for FactStore {
             trail_open: 0,
             trail_ops: self.trail_ops,
             recording: None,
-            adom_precision: AdomPrecision::Coarse,
             events_enabled: false,
             events: Vec::new(),
         }
@@ -497,7 +471,6 @@ impl FactStore {
             trail_open: 0,
             trail_ops: TrailOps::default(),
             recording: None,
-            adom_precision: AdomPrecision::Coarse,
             events_enabled: false,
             events: Vec::new(),
         }
@@ -534,24 +507,7 @@ impl FactStore {
     /// inherited by clones. Installing over an existing recorder discards
     /// the old one.
     pub fn begin_read_tracking(&mut self) {
-        self.begin_read_tracking_with(AdomPrecision::Coarse)
-    }
-
-    /// Like [`FactStore::begin_read_tracking`], additionally choosing how
-    /// whole-adom walks are classified (see [`AdomPrecision`]).
-    pub fn begin_read_tracking_with(&mut self, precision: AdomPrecision) {
-        self.adom_precision = precision;
         self.recording = Some(Mutex::new(ReadSet::default()));
-    }
-
-    /// The precision of the installed recorder ([`AdomPrecision::Coarse`]
-    /// when none is installed).
-    pub fn read_tracking_precision(&self) -> AdomPrecision {
-        if self.recording.is_some() {
-            self.adom_precision
-        } else {
-            AdomPrecision::Coarse
-        }
     }
 
     /// Uninstalls the read recorder and returns what it saw (empty if no
@@ -596,8 +552,8 @@ impl FactStore {
     }
 
     /// Records a walk over the active-domain values of one abstract domain
-    /// at the installed recorder's [`AdomPrecision`]. `upto` is `None` when
-    /// the walk consumed the domain's sorted value list to its natural end
+    /// as a per-domain or visited-prefix read. `upto` is `None` when the
+    /// walk consumed the domain's sorted value list to its natural end
     /// (the walk *observed* the end of the list, so any value entering the
     /// domain changes what it saw) and `Some(bound)` when the walk was cut
     /// early by a search budget after visiting values `≤ bound` only (a
@@ -605,22 +561,18 @@ impl FactStore {
     /// one at or above it lands past the cut). Instrumented walk sites — the
     /// valuation enumeration of the witness searches, the accessible-value
     /// pools of the producibility planner — call this instead of
-    /// [`FactStore::active_domain`] so precise-mode verdicts survive growth
-    /// they never looked at. Under [`AdomPrecision::Coarse`] every walk
-    /// collapses to `adom_all`, reproducing the pre-precise read sets.
+    /// [`FactStore::active_domain`] so verdicts survive growth they never
+    /// looked at.
     pub fn rec_adom_walk(&self, domain: DomainId, upto: Option<&Value>) {
-        match self.adom_precision {
-            AdomPrecision::Coarse => self.rec(|rs| rs.adom_all = true),
-            AdomPrecision::Precise => match upto {
-                None => self.rec(|rs| rs.record_adom_domain(domain)),
-                Some(bound) => self.rec(|rs| rs.record_adom_prefix(domain, bound)),
-            },
+        match upto {
+            None => self.rec(|rs| rs.record_adom_domain(domain)),
+            Some(bound) => self.rec(|rs| rs.record_adom_prefix(domain, bound)),
         }
     }
 
     /// Records a walk over the *whole* active domain with no per-domain
     /// structure (untyped variables drawing candidates from every domain at
-    /// once). Always `adom_all` — the sound fallback at either precision.
+    /// once). Always `adom_all` — the sound fallback.
     pub fn rec_adom_global(&self) {
         self.rec(|rs| rs.adom_all = true);
     }
@@ -656,7 +608,7 @@ impl FactStore {
     /// still shared (bounded by the current fact count), paid now instead
     /// of lazily at first write; an explicit detach is not a copy-on-write
     /// divergence, so [`FactStore::shard_copies`] does not advance. Long
-    /// -running owners (engine loops that speculate on their live store)
+    /// -running owners (such as the merge loop, which speculates on its live store)
     /// call this once up front so later trail probes never hit a shared
     /// shard.
     pub fn own_all_shards(&mut self) {

@@ -32,8 +32,8 @@ use accrel_engine::{
     RunOptions, RunReport, RunRequest, Strategy, VerdictRecord,
 };
 use accrel_federation::{
-    AsyncBatchScheduler, AsyncFederation, BatchScheduler, ChaosOptions, ChurnScript, Federation,
-    FlakyModel, LatencyModel, Serving, SimulatedSource,
+    Async, AsyncFederation, ChaosOptions, ChurnScript, Federation, FlakyModel, LatencyModel,
+    Serving, SimulatedSource, Threaded,
 };
 use accrel_query::Query;
 use accrel_schema::{Configuration, Instance};
@@ -287,6 +287,9 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     let oracle = FederatedEngine::new(&oracle_source, query.clone(), case.strategy)
         .with_options(options.clone())
         .run(&initial);
+    let request = RunRequest::new(query)
+        .with_strategy(case.strategy)
+        .with_options(options);
 
     // Both providers carry a (virtual) latency model from the start: the
     // async federations' chaos clocks only advance as awaited latencies
@@ -317,9 +320,7 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
         ))
         .build()
         .expect("federation builds");
-    let threaded = BatchScheduler::new(&threaded_federation, query.clone(), case.strategy)
-        .with_options(options.clone())
-        .run(&initial);
+    let threaded = Threaded::new(&threaded_federation).execute(&request, &initial);
     chaos = chaos.merged(&threaded.chaos);
     if divergence.is_none() {
         divergence = first_differing_field(&threaded, &oracle).map(|field| Divergence {
@@ -337,9 +338,7 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
         .with_chaos(ChaosOptions::scripted(case.script.clone(), 0))
         .build()
         .expect("federation builds");
-    let asynced = AsyncBatchScheduler::new(&async_federation, query.clone(), case.strategy)
-        .with_options(options.clone())
-        .run(&initial);
+    let asynced = Async::new(&async_federation).execute(&request, &initial);
     chaos = chaos.merged(&asynced.chaos);
     if divergence.is_none() {
         divergence = first_differing_field(&asynced, &oracle).map(|field| Divergence {
@@ -357,11 +356,7 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
         .with_chaos(ChaosOptions::scripted(case.script.clone(), 0))
         .build()
         .expect("federation builds");
-    let serving = Serving::new(&serving_federation);
-    let request = RunRequest::new(query)
-        .with_strategy(case.strategy)
-        .with_options(options);
-    let served = serving.execute(&request, &initial);
+    let served = Serving::new(&serving_federation).execute(&request, &initial);
     chaos = chaos.merged(&served.chaos);
     if divergence.is_none() {
         divergence = first_differing_field(&served, &oracle).map(|field| Divergence {
@@ -377,7 +372,7 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
     }
 }
 
-/// Where an exact-invalidation run broke faith with its relation-level
+/// Where a precise-invalidation run broke faith with its relation-level
 /// baseline (see [`run_invalidation_case`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvalidationDivergence {
@@ -392,14 +387,10 @@ pub struct InvalidationOutcome {
     pub divergence: Option<InvalidationDivergence>,
     /// Decision procedures run under precise (per-domain) invalidation.
     pub precise_misses: usize,
-    /// Decision procedures run under exact (coarse-adom) invalidation.
-    pub exact_misses: usize,
     /// Decision procedures run under relation-level invalidation.
     pub relation_misses: usize,
     /// Verdicts evicted under precise invalidation.
     pub precise_evictions: usize,
-    /// Verdicts evicted under exact invalidation.
-    pub exact_evictions: usize,
     /// Verdicts evicted under relation-level invalidation.
     pub relation_evictions: usize,
 }
@@ -411,20 +402,19 @@ fn is_subsequence(needle: &[VerdictRecord], hay: &[VerdictRecord]) -> bool {
     needle.iter().all(|n| it.any(|h| h == n))
 }
 
-/// The second fuzzer mode: diffs the three invalidation modes — **precise**
-/// (per-domain adom reads), **exact** (coarse `adom_all`) and the
-/// **relation-level baseline** — on the case's random schema × query ×
-/// policy workload. Each refinement only ever *keeps* verdicts the coarser
-/// scheme would have evicted — and every kept verdict is sound (its
-/// decision procedure read nothing the growth touched) — so the three runs
-/// must agree on everything observable:
+/// The second fuzzer mode: diffs the two invalidation modes — **precise**
+/// read-set invalidation and the **relation-level baseline** — on the
+/// case's random schema × query × policy workload. Precise invalidation
+/// only ever *keeps* verdicts the baseline would have evicted — and every
+/// kept verdict is sound (its decision procedure read nothing the growth
+/// touched) — so the two runs must agree on everything observable:
 ///
 /// * identical access sequence, certainty, answers and final configuration;
-/// * each run's verdict log is a *subsequence* of the next-coarser run's
-///   (the re-checks it skips are the only difference): precise ⊆ exact ⊆
+/// * the precise run's verdict log is a *subsequence* of the baseline's
+///   (the re-checks it skips are the only difference): precise ⊆
 ///   relation-level;
-/// * misses and evictions are ordered precise ≤ exact ≤ relation-level;
-/// * the threaded scheduler under the case's churn script, running precise
+/// * misses and evictions are ordered precise ≤ relation-level;
+/// * the threaded executor under the case's churn script, running precise
 ///   invalidation (the default), still matches the sequential precise run
 ///   byte-for-byte.
 pub fn run_invalidation_case(case: &FuzzCase) -> InvalidationOutcome {
@@ -435,10 +425,6 @@ pub fn run_invalidation_case(case: &FuzzCase) -> InvalidationOutcome {
         invalidation: InvalidationMode::Precise,
         ..case.options()
     };
-    let exact_options = RunOptions {
-        invalidation: InvalidationMode::Exact,
-        ..case.options()
-    };
     let relation_options = RunOptions {
         invalidation: InvalidationMode::RelationLevel,
         ..case.options()
@@ -447,9 +433,6 @@ pub fn run_invalidation_case(case: &FuzzCase) -> InvalidationOutcome {
     let source = DeepWebSource::new(instance.clone(), methods.clone(), case.policy.clone());
     let precise = FederatedEngine::new(&source, query.clone(), case.strategy)
         .with_options(precise_options.clone())
-        .run(&initial);
-    let exact = FederatedEngine::new(&source, query.clone(), case.strategy)
-        .with_options(exact_options)
         .run(&initial);
     let relation = FederatedEngine::new(&source, query.clone(), case.strategy)
         .with_options(relation_options)
@@ -463,42 +446,30 @@ pub fn run_invalidation_case(case: &FuzzCase) -> InvalidationOutcome {
     };
     diverge(
         "access_sequence",
-        precise.access_sequence != relation.access_sequence
-            || exact.access_sequence != relation.access_sequence,
+        precise.access_sequence != relation.access_sequence,
     );
-    diverge(
-        "certain",
-        precise.certain != relation.certain || exact.certain != relation.certain,
-    );
-    diverge(
-        "answers",
-        precise.answers != relation.answers || exact.answers != relation.answers,
-    );
+    diverge("certain", precise.certain != relation.certain);
+    diverge("answers", precise.answers != relation.answers);
     diverge(
         "final_configuration",
         !precise
             .final_configuration
-            .same_facts(&relation.final_configuration)
-            || !exact
-                .final_configuration
-                .same_facts(&relation.final_configuration),
+            .same_facts(&relation.final_configuration),
     );
     diverge(
         "verdict_log_subsequence",
-        !is_subsequence(&precise.relevance_verdicts, &exact.relevance_verdicts)
-            || !is_subsequence(&exact.relevance_verdicts, &relation.relevance_verdicts),
+        !is_subsequence(&precise.relevance_verdicts, &relation.relevance_verdicts),
     );
     diverge(
         "misses_exceed_baseline",
-        precise.relevance_cache_misses > exact.relevance_cache_misses
-            || exact.relevance_cache_misses > relation.relevance_cache_misses,
+        precise.relevance_cache_misses > relation.relevance_cache_misses,
     );
     diverge(
         "evictions_exceed_baseline",
-        precise.evictions > exact.evictions || exact.evictions > relation.evictions,
+        precise.evictions > relation.evictions,
     );
 
-    // Executor invariance under the new default: the threaded scheduler,
+    // Executor invariance under the default: the threaded executor,
     // churned by the case's script, must still match the sequential
     // precise run field-for-field.
     let federation = Federation::builder(methods.clone())
@@ -522,9 +493,10 @@ pub fn run_invalidation_case(case: &FuzzCase) -> InvalidationOutcome {
         ))
         .build()
         .expect("federation builds");
-    let threaded = BatchScheduler::new(&federation, query, case.strategy)
-        .with_options(precise_options)
-        .run(&initial);
+    let request = RunRequest::new(query)
+        .with_strategy(case.strategy)
+        .with_options(precise_options);
+    let threaded = Threaded::new(&federation).execute(&request, &initial);
     if divergence.is_none() {
         divergence = first_differing_field(&threaded, &precise)
             .map(|field| InvalidationDivergence { field });
@@ -533,10 +505,8 @@ pub fn run_invalidation_case(case: &FuzzCase) -> InvalidationOutcome {
     InvalidationOutcome {
         divergence,
         precise_misses: precise.relevance_cache_misses,
-        exact_misses: exact.relevance_cache_misses,
         relation_misses: relation.relevance_cache_misses,
         precise_evictions: precise.evictions,
-        exact_evictions: exact.evictions,
         relation_evictions: relation.evictions,
     }
 }
@@ -550,8 +520,6 @@ pub struct InvalidationSummary {
     pub failures: Vec<(u64, &'static str)>,
     /// Decision procedures run across all cases, precise mode.
     pub precise_misses: usize,
-    /// Decision procedures run across all cases, exact mode.
-    pub exact_misses: usize,
     /// Decision procedures run across all cases, relation-level mode.
     pub relation_misses: usize,
 }
@@ -565,7 +533,6 @@ pub fn fuzz_invalidation(base_seed: u64, count: usize) -> InvalidationSummary {
         let outcome = run_invalidation_case(&case);
         summary.cases += 1;
         summary.precise_misses += outcome.precise_misses;
-        summary.exact_misses += outcome.exact_misses;
         summary.relation_misses += outcome.relation_misses;
         if let Some(divergence) = outcome.divergence {
             summary.failures.push((seed, divergence.field));
@@ -710,18 +677,18 @@ mod tests {
     }
 
     #[test]
-    fn exact_invalidation_agrees_with_relation_level_baseline() {
+    fn precise_invalidation_agrees_with_relation_level_baseline() {
         let summary = fuzz_invalidation(2000, 8);
         assert_eq!(summary.cases, 8);
         assert!(
             summary.failures.is_empty(),
-            "exact invalidation diverged from the relation-level baseline: {:?}",
+            "precise invalidation diverged from the relation-level baseline: {:?}",
             summary.failures
         );
-        // Across the sweep the exact mode must never run more procedures
+        // Across the sweep the precise mode must never run more procedures
         // than the baseline (per-case this is already an invariant; the
         // aggregate is the useful telemetry line).
-        assert!(summary.exact_misses <= summary.relation_misses);
+        assert!(summary.precise_misses <= summary.relation_misses);
     }
 
     #[test]

@@ -38,8 +38,8 @@ fn main() {
         .build()
         .expect("federation builds");
 
-    let report = BatchScheduler::new(&federation, scenario.query.clone(), Strategy::Hybrid)
-        .run(&scenario.initial_configuration);
+    let request = RunRequest::new(scenario.query.clone());
+    let report = Threaded::new(&federation).execute(&request, &scenario.initial_configuration);
 
     // The sequential oracle never sees any churn at all.
     let oracle_source = DeepWebSource::new(

@@ -1,6 +1,6 @@
 //! The bank scenario of Section 1, run against a *federation*: the four Web
 //! forms split across two simulated providers with different latency,
-//! failure and paging behaviour, executed by the batch scheduler.
+//! failure and paging behaviour, executed by the threaded executor.
 //!
 //! ```text
 //! cargo run --example federated_sweep

@@ -13,8 +13,8 @@
 //! identically-configured source behind the `PolicySource` adapter. Every
 //! policy answers a given access with a deterministic response —
 //! `SoundSample` draws its subset from an RNG seeded by
-//! `Access::stable_hash` — which is the precondition of the schedulers'
-//! determinism invariant (see `accrel_federation::scheduler`).
+//! `Access::stable_hash` — which is the precondition of the merge loop's
+//! determinism invariant (see `accrel_engine::merge`).
 
 use accrel::prelude::*;
 use rand::rngs::StdRng;
@@ -322,22 +322,20 @@ fn is_subsequence(needle: &[VerdictRecord], hay: &[VerdictRecord]) -> bool {
 }
 
 #[test]
-fn exact_invalidation_matches_relation_level_across_the_executor_grid() {
+fn precise_invalidation_matches_relation_level_across_the_executor_grid() {
     // Precise invalidation re-verifies a cached verdict only when a
-    // response inserted a value in a domain-and-prefix the verdict's
-    // decision procedure consulted; exact invalidation coarsens the adom
-    // reads to a whole-active-domain stamp; relation-level invalidation
+    // response inserted a pair, or a value in a domain-and-prefix, the
+    // verdict's decision procedure consulted; relation-level invalidation
     // drops every verdict whose coarse dependency set mentions the grown
-    // relation. All three are sound, so for every scenario and strategy:
+    // relation. Both are sound, so for every scenario and strategy:
     //
     // * within each mode, every executor is byte-for-byte the sequential
     //   run (verdict log included);
     // * across modes, the observable run — access sequence, certainty,
     //   answers, final configuration — is identical;
-    // * each refinement's verdict log is a subsequence of the next-coarser
-    //   log (the skipped re-checks are the only difference): precise ⊆
-    //   exact ⊆ relation-level — and misses and evictions are ordered the
-    //   same way.
+    // * the precise verdict log is a subsequence of the relation-level log
+    //   (the skipped re-checks are the only difference) — and misses and
+    //   evictions are ordered the same way.
     let scenarios = [bank_scenario(), random_scenario(11)];
     let mut rechecks_saved = 0usize;
     for scenario in &scenarios {
@@ -367,11 +365,7 @@ fn exact_invalidation_matches_relation_level_across_the_executor_grid() {
                     })
             };
             let mut by_mode = Vec::new();
-            for invalidation in [
-                InvalidationMode::Precise,
-                InvalidationMode::Exact,
-                InvalidationMode::RelationLevel,
-            ] {
+            for invalidation in [InvalidationMode::Precise, InvalidationMode::RelationLevel] {
                 let request = request(invalidation);
                 sequential_exec.reset_stats();
                 let sequential = sequential_exec.execute(&request, &scenario.initial_configuration);
@@ -403,45 +397,36 @@ fn exact_invalidation_matches_relation_level_across_the_executor_grid() {
                 }
                 by_mode.push(sequential);
             }
-            let [precise, exact, relation] = &by_mode[..] else {
+            let [precise, relation] = &by_mode[..] else {
                 unreachable!()
             };
             let cell = format!("scenario={} strategy={}", scenario.name, strategy.name());
-            for refined in [precise, exact] {
-                assert_eq!(
-                    refined.access_sequence, relation.access_sequence,
-                    "invalidation mode changed the access sequence: {cell}"
-                );
-                assert_eq!(refined.certain, relation.certain, "verdict: {cell}");
-                assert_eq!(refined.answers, relation.answers, "answers: {cell}");
-                assert!(
-                    refined
-                        .final_configuration
-                        .same_facts(&relation.final_configuration),
-                    "invalidation mode changed the final configuration: {cell}"
-                );
-            }
+            assert_eq!(
+                precise.access_sequence, relation.access_sequence,
+                "invalidation mode changed the access sequence: {cell}"
+            );
+            assert_eq!(precise.certain, relation.certain, "verdict: {cell}");
+            assert_eq!(precise.answers, relation.answers, "answers: {cell}");
             assert!(
-                is_subsequence(&precise.relevance_verdicts, &exact.relevance_verdicts),
-                "precise verdict log is not a subsequence of the exact log: {cell}"
+                precise
+                    .final_configuration
+                    .same_facts(&relation.final_configuration),
+                "invalidation mode changed the final configuration: {cell}"
             );
             assert!(
-                is_subsequence(&exact.relevance_verdicts, &relation.relevance_verdicts),
-                "exact verdict log is not a subsequence of the baseline: {cell}"
+                is_subsequence(&precise.relevance_verdicts, &relation.relevance_verdicts),
+                "precise verdict log is not a subsequence of the baseline: {cell}"
             );
             assert!(
-                precise.relevance_cache_misses <= exact.relevance_cache_misses
-                    && exact.relevance_cache_misses <= relation.relevance_cache_misses,
-                "invalidation misses out of order ({} / {} / {}): {cell}",
+                precise.relevance_cache_misses <= relation.relevance_cache_misses,
+                "invalidation misses out of order ({} / {}): {cell}",
                 precise.relevance_cache_misses,
-                exact.relevance_cache_misses,
                 relation.relevance_cache_misses
             );
             assert!(
-                precise.evictions <= exact.evictions && exact.evictions <= relation.evictions,
-                "invalidation evictions out of order ({} / {} / {}): {cell}",
+                precise.evictions <= relation.evictions,
+                "invalidation evictions out of order ({} / {}): {cell}",
                 precise.evictions,
-                exact.evictions,
                 relation.evictions
             );
             rechecks_saved += relation.relevance_cache_misses - precise.relevance_cache_misses;

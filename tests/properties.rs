@@ -649,7 +649,7 @@ fn duplicate_only_rounds_evict_nothing_and_leave_the_verdict_cache_intact() {
     // Re-applying an already-applied response inserts zero facts: the store
     // queues no insert events, the oracle drains nothing, and every cached
     // verdict survives — re-checking the same accesses afterwards must be
-    // pure cache hits. (Exact read-set invalidation is the default; the
+    // pure cache hits. (Precise read-set invalidation is the default; the
     // duplicate round must be invisible to it.)
     use accrel::access::apply_access_in_place;
     use accrel::access::enumerate::{well_formed_accesses, EnumerationOptions};
