@@ -77,9 +77,13 @@ impl Table {
     }
 }
 
-/// Times `f` over `repeats` runs and returns the median in microseconds.
+/// Times `f` over `repeats` runs after one untimed warm-up run and returns
+/// the median in microseconds.
 pub fn median_micros<F: FnMut()>(repeats: usize, mut f: F) -> f64 {
     let repeats = repeats.max(1);
+    // The first call pays for cold caches and lazy allocations; without the
+    // warm-up a single-sample row reports that cost as the figure.
+    f();
     let mut samples = Vec::with_capacity(repeats);
     for _ in 0..repeats {
         let start = Instant::now();
@@ -1274,6 +1278,16 @@ mod tests {
         let md = table.to_markdown();
         assert!(md.contains("### E0"));
         assert!(md.contains("| s | 1 | m | 2.500 |"));
+    }
+
+    #[test]
+    fn median_micros_warms_up_once_before_sampling() {
+        let mut calls = 0;
+        let _ = median_micros(5, || calls += 1);
+        assert_eq!(calls, 6);
+        let mut calls = 0;
+        let _ = median_micros(0, || calls += 1);
+        assert_eq!(calls, 2);
     }
 
     #[test]

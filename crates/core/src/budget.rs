@@ -15,7 +15,9 @@
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchBudget {
     /// Maximum number of candidate valuations of a disjunct's variables
-    /// explored per disjunct.
+    /// explored per disjunct. Valuations are counted as the witness search
+    /// walks them, one at a time, and the walk stops at the first witness,
+    /// so a check that succeeds early never reaches the cap.
     pub max_valuations: usize,
     /// Maximum number of auxiliary "value generator" facts that may be added
     /// beyond the image of the query homomorphism (the supporting chains of

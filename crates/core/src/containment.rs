@@ -16,6 +16,8 @@
 //! for PQs (hence the coNEXPTIME / co2NEXPTIME completeness results), and
 //! the default budget decides every workload bundled with this repository.
 
+use std::ops::ControlFlow;
+
 use accrel_access::{AccessMethods, AccessPath};
 use accrel_query::{eval, ConjunctiveQuery, Query, Valuation};
 use accrel_schema::{Configuration, FreshSupply, RelationId, Tuple, Value};
@@ -111,6 +113,8 @@ pub fn contained(
     is_contained(q1, q2, conf, methods, budget).contained
 }
 
+/// Walks the valuations of `disjunct` until one of them yields a
+/// non-containment witness.
 fn disjunct_non_containment(
     disjunct: &ConjunctiveQuery,
     ucq2: &[ConjunctiveQuery],
@@ -123,8 +127,7 @@ fn disjunct_non_containment(
             .iter()
             .chain(disjunct.constants().iter().collect::<Vec<_>>()),
     );
-    let valuations =
-        search::enumerate_valuations(disjunct, conf, &[], &mut fresh, budget.max_valuations);
+    let mut walk = search::ValuationWalk::new(disjunct, conf, &[]);
     // The accessible pool over Adom(Conf); records only the membership,
     // minimum and emptiness reads the planner actually performs.
     let base = search::AdomPool::of(conf);
@@ -132,22 +135,16 @@ fn disjunct_non_containment(
     // across all valuations of this disjunct.
     let mut chain_cache = search::ChainCache::new();
 
-    for h in valuations {
+    let witness = walk.run(&mut fresh, budget.max_valuations, |h, fresh| {
         // The facts of the disjunct image that are not yet known.
         let mut needed = Vec::new();
-        let mut grounding_failed = false;
         for atom in disjunct.atoms() {
-            let grounded = atom.substitute(&h);
-            let Some(tuple) = grounded.to_tuple() else {
-                grounding_failed = true;
-                break;
+            let Some(tuple) = search::ground(atom, h) else {
+                return ControlFlow::Continue(());
             };
             if !conf.contains(atom.relation(), &tuple) {
                 needed.push((atom.relation(), tuple));
             }
-        }
-        if grounding_failed {
-            continue;
         }
         needed.sort();
         needed.dedup();
@@ -157,11 +154,17 @@ fn disjunct_non_containment(
             disjunct
                 .free_vars()
                 .iter()
-                .map(|v| h.get(v).cloned().unwrap_or_else(|| Value::fresh(u64::MAX)))
+                .map(|v| {
+                    h.get(v.index())
+                        .cloned()
+                        .flatten()
+                        .unwrap_or_else(|| Value::fresh(u64::MAX))
+                })
                 .collect(),
         );
 
         for alternative in 0..budget.max_chain_alternatives.max(1) {
+            // Every null of `h` is drawn by now: plan nulls sort above them.
             let mut plan_fresh = fresh.clone();
             let Some(plan) = search::plan_production(
                 &needed,
@@ -188,7 +191,7 @@ fn disjunct_non_containment(
                 let reached = search::extend_configuration(conf, &plan_facts);
                 let path = plan.to_path(methods);
                 debug_assert!(path.is_well_formed_at(conf, methods));
-                return Some(NonContainmentWitness {
+                return ControlFlow::Break(NonContainmentWitness {
                     path,
                     final_configuration: reached,
                     answer,
@@ -199,8 +202,10 @@ fn disjunct_non_containment(
                 break;
             }
         }
-    }
-    None
+        ControlFlow::Continue(())
+    });
+    walk.record_reads(conf);
+    witness
 }
 
 /// Does `ucq2` yield `answer` on `conf` extended with the `extra` facts?

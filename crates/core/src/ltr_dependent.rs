@@ -9,10 +9,12 @@
 //! The search mirrors the containment witness search (same crayfish-chase
 //! structure, same [`SearchBudget`]):
 //!
-//! 1. pick a disjunct of `Q` and a valuation of its variables into
+//! 1. pick a disjunct of `Q` and walk the valuations of its variables into
 //!    configuration constants, the values returned by the initial access
 //!    (including a "generic" tuple of fresh outputs the access may always
-//!    return), and fresh nulls;
+//!    return), and fresh nulls, one at a time
+//!    (`search::ValuationWalk`), running steps 2–4 on each and stopping
+//!    at the first that yields a witness;
 //! 2. split the disjunct's image into configuration facts, facts returned by
 //!    the initial access, and facts that later accesses must produce;
 //! 3. plan the production of the later facts (with auxiliary generator
@@ -29,6 +31,7 @@
 //! complete relative to the budget.
 
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 
 use accrel_access::{Access, AccessMethods, AccessMode};
 use accrel_query::{certain, ConjunctiveQuery, Query};
@@ -170,8 +173,7 @@ fn disjunct_witness(
     fresh: &mut FreshSupply,
 ) -> bool {
     let schema = methods.schema();
-    let valuations =
-        search::enumerate_valuations(disjunct, conf, generic_extra, fresh, budget.max_valuations);
+    let mut walk = search::ValuationWalk::new(disjunct, conf, generic_extra);
     // The accessible-value pool over Adom(Conf) is constant across
     // valuations; build it once (the pool records the membership, minimum
     // and emptiness reads the planner actually performs, instead of a
@@ -180,14 +182,13 @@ fn disjunct_witness(
     let conf_pool = search::AdomPool::of(conf);
     let mut chain_cache = search::ChainCache::new();
 
-    'next_valuation: for h in valuations {
+    let witness = walk.run(fresh, budget.max_valuations, |h, fresh| {
         // Partition the disjunct's image.
         let mut first_facts: Vec<(RelationId, Tuple)> = Vec::new();
         let mut later_facts: Vec<(RelationId, Tuple)> = Vec::new();
         for atom in disjunct.atoms() {
-            let grounded = atom.substitute(&h);
-            let Some(tuple) = grounded.to_tuple() else {
-                continue 'next_valuation;
+            let Some(tuple) = search::ground(atom, h) else {
+                return ControlFlow::Continue(());
             };
             if conf.contains(atom.relation(), &tuple) {
                 continue;
@@ -227,6 +228,7 @@ fn disjunct_witness(
         new_pairs.sort();
 
         for alternative in 0..budget.max_chain_alternatives.max(1) {
+            // Every null of `h` is drawn by now: plan nulls sort above them.
             let mut plan_fresh = fresh.clone();
             let Some(plan) = search::plan_production(
                 &later_facts,
@@ -250,7 +252,7 @@ fn disjunct_witness(
             if !new_pairs.is_empty() && break_access_exists(&new_pairs, &conf_pool, conf, methods) {
                 // The query is not certain at Conf (checked by the caller),
                 // so the certain answers differ: witness found.
-                return true;
+                return ControlFlow::Break(());
             }
 
             // Witness condition B: replay the planned accesses without the
@@ -261,15 +263,17 @@ fn disjunct_witness(
             // response tuple is undone on exit, replacing the per-plan
             // snapshot this path used to discard.
             if replay_truncation_uncertain(query, conf, &plan, methods) {
-                return true;
+                return ControlFlow::Break(());
             }
 
             if plan.aux_count == 0 {
                 break;
             }
         }
-    }
-    false
+        ControlFlow::Continue(())
+    });
+    walk.record_reads(conf);
+    witness.is_some()
 }
 
 /// Adds the `(value, domain)` pairs of a fact to `pool`.
@@ -472,6 +476,100 @@ mod tests {
             &methods,
             &SearchBudget::default()
         ));
+    }
+
+    /// `Q = ∃x R(x) ∧ W(x)` over `Conf = {W(v0), …, W(v7)}`, with a Boolean
+    /// dependent check on R and the extra conjunct `H(x)` (a relation without
+    /// access methods) when `unreachable`. The walk assigns `x` the sorted
+    /// constants `v0 < … < v7`, then a null.
+    fn check_fixture(unreachable: bool) -> (Arc<Schema>, AccessMethods, Query, Configuration) {
+        let mut b = Schema::builder();
+        let d = b.domain("D").unwrap();
+        b.relation("R", &[("a", d)]).unwrap();
+        b.relation("W", &[("a", d)]).unwrap();
+        b.relation("H", &[("a", d)]).unwrap();
+        let schema = b.build();
+        let mut mb = AccessMethods::builder(schema.clone());
+        mb.add_boolean("RCheck", "R", AccessMode::Dependent)
+            .unwrap();
+        let methods = mb.build();
+        let mut qb = ConjunctiveQuery::builder(schema.clone());
+        let x = qb.var("x");
+        qb.atom("R", vec![Term::Var(x)]).unwrap();
+        qb.atom("W", vec![Term::Var(x)]).unwrap();
+        if unreachable {
+            qb.atom("H", vec![Term::Var(x)]).unwrap();
+        }
+        let q: Query = qb.build().into();
+        let mut conf = Configuration::empty(schema.clone());
+        for i in 0..8 {
+            conf.insert_named("W", [format!("v{i}")]).unwrap();
+        }
+        (schema, methods, q, conf)
+    }
+
+    #[test]
+    fn the_walk_stops_at_the_first_witness_and_records_a_prefix_read() {
+        // Checking R(v2)? is relevant, and only the valuation x = v2 shows
+        // it: for x = vi, i ≠ 2, the truncation replays R(vi)? itself and
+        // makes Q certain. That valuation is the third one walked.
+        let (schema, methods, q, mut conf) = check_fixture(false);
+        let d = schema.domain_by_name("D").unwrap();
+        let access = Access::new(methods.by_name("RCheck").unwrap(), binding(["v2"]));
+        let budget = |n| SearchBudget::default().with_max_valuations(n);
+        // The witness is exactly the third valuation.
+        assert!(!is_ltr_dependent_trailed(
+            &q,
+            &mut conf,
+            &access,
+            &methods,
+            &budget(2)
+        ));
+        assert!(is_ltr_dependent_trailed(
+            &q,
+            &mut conf,
+            &access,
+            &methods,
+            &budget(3)
+        ));
+        // Under the default budget the walk stops there: it has consulted
+        // the candidates up to v2 only, so the domain's read is a prefix
+        // bounded by v2 and a value sorting above it cannot invalidate the
+        // verdict. Walking on past the witness would have run off the end
+        // of the list and recorded the whole domain.
+        conf.begin_read_tracking();
+        assert!(is_ltr_dependent_trailed(
+            &q,
+            &mut conf,
+            &access,
+            &methods,
+            &SearchBudget::default()
+        ));
+        let reads = conf.take_read_set();
+        assert_eq!(reads.adom_prefixes.get(&d), Some(&Value::sym("v2")));
+        assert!(!reads.adom_domains.contains(&d));
+        assert!(!reads.adom_all);
+    }
+
+    #[test]
+    fn a_walk_without_a_witness_records_a_whole_domain_read() {
+        // H(x) is never producible: every valuation fails, the walk runs off
+        // the end of the candidate list, and the verdict rests on there
+        // being no further candidate, so the whole domain is read.
+        let (schema, methods, q, mut conf) = check_fixture(true);
+        let d = schema.domain_by_name("D").unwrap();
+        let access = Access::new(methods.by_name("RCheck").unwrap(), binding(["v2"]));
+        conf.begin_read_tracking();
+        assert!(!is_ltr_dependent_trailed(
+            &q,
+            &mut conf,
+            &access,
+            &methods,
+            &SearchBudget::default()
+        ));
+        let reads = conf.take_read_set();
+        assert!(reads.adom_domains.contains(&d));
+        assert!(!reads.adom_prefixes.contains_key(&d));
     }
 
     #[test]

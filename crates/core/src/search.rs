@@ -8,21 +8,24 @@
 //! whose only purpose is to make an input value of the right abstract domain
 //! accessible. This module provides:
 //!
-//! * [`enumerate_valuations`] — candidate assignments of a disjunct's
-//!   variables to configuration constants, caller-supplied extra values, or
-//!   shared fresh nulls (restricted-growth enumeration so that null sharing
-//!   patterns are covered exactly once);
+//! * [`ValuationWalk`] — a streaming depth-first walk over the candidate
+//!   assignments of a disjunct's variables to configuration constants,
+//!   caller-supplied extra values, or shared fresh nulls (restricted-growth
+//!   enumeration so that null sharing patterns are covered exactly once).
+//!   Valuations live in dense slots indexed by variable, are handed to a
+//!   visitor one at a time, and the walk stops at the first witness;
 //! * [`plan_production`] — given a set of needed facts and a set of already
 //!   accessible `(value, domain)` pairs, find an ordering, an access-method
 //!   assignment and auxiliary generator chains that produce all of them by
 //!   well-formed accesses, within a [`SearchBudget`].
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::ControlFlow;
 
 use accrel_access::{
     Access, AccessMethodId, AccessMethods, AccessMode, AccessPath, Binding, Response,
 };
-use accrel_query::{ConjunctiveQuery, VarId};
+use accrel_query::{Atom, ConjunctiveQuery, Term, VarId};
 use accrel_schema::{Configuration, DomainId, FreshSupply, RelationId, Tuple, Value};
 
 use crate::budget::SearchBudget;
@@ -151,19 +154,278 @@ impl AdomPool {
     }
 }
 
-/// Enumerates candidate valuations of `cq`'s variables.
+/// Per-variable visit statistics of a [`ValuationWalk`], for the read
+/// recorder: the highest candidate-list index the walk entered, and whether
+/// some traversal ran off the natural end of the list. A traversal cut by the
+/// valuation limit or by a witness never observed the end, so a prefix read
+/// suffices; a completed one observed "no further candidates", which a value
+/// sorting above everything visited would falsify.
+#[derive(Debug, Default, Clone, Copy)]
+struct VisitStats {
+    max_pos: Option<usize>,
+    completed: bool,
+}
+
+/// A streaming depth-first walk over the candidate valuations of a
+/// disjunct's variables, stopping at the first witness.
 ///
 /// Every variable may map to:
 /// * a constant of the configuration's active domain carrying the variable's
 ///   inferred abstract domain;
-/// * one of `extra` whose domain matches;
+/// * one of the caller's extra values whose domain matches;
 /// * a fresh null, possibly shared with other variables of the same domain
 ///   (sharing patterns are enumerated canonically: the i-th variable of a
 ///   domain may reuse any null already introduced for that domain or open a
 ///   new one).
 ///
-/// At most `limit` valuations are produced. Fresh nulls are drawn from
-/// `fresh` so they are globally distinct from any other null in play.
+/// Variables are assigned in ascending order, sorted constants first, then
+/// restricted-growth null slots. A search is three steps:
+/// [`ValuationWalk::new`] builds the candidate lists untracked,
+/// [`ValuationWalk::run`] hands each complete valuation to a visitor as
+/// dense slots indexed by [`VarId::index`], and
+/// [`ValuationWalk::record_reads`] records what the walk consulted. The walk
+/// holds no borrow of the configuration, so a visitor may speculate on it
+/// mutably.
+#[derive(Debug, Default)]
+pub(crate) struct ValuationWalk {
+    /// The disjunct's variables in ascending order (the assignment order).
+    vars: Vec<VarId>,
+    /// Each variable's inferred abstract domain (`None`: untyped).
+    domains: Vec<Option<DomainId>>,
+    /// Sorted, deduplicated constant candidates per abstract domain; the
+    /// variables of a domain share one list.
+    by_domain: HashMap<DomainId, Vec<Value>>,
+    /// Sorted, deduplicated candidates of untyped variables (every domain).
+    untyped: Vec<Value>,
+    /// Visit statistics per variable, in `vars` order.
+    stats: Vec<VisitStats>,
+}
+
+impl ValuationWalk {
+    /// Builds the candidate lists of `cq`'s variables from `conf`'s active
+    /// domain (served from the store's maintained cache, untracked) and
+    /// `extra`.
+    pub(crate) fn new(cq: &ConjunctiveQuery, conf: &Configuration, extra: &[ExtraValue]) -> Self {
+        let mut vars: Vec<VarId> = cq.variables().into_iter().collect();
+        if vars.is_empty() {
+            return Self::default();
+        }
+        vars.sort();
+        let var_domains = cq.infer_var_domains().unwrap_or_default();
+        let domains: Vec<Option<DomainId>> =
+            vars.iter().map(|v| var_domains.get(v).copied()).collect();
+        let mut by_domain: HashMap<DomainId, Vec<Value>> = HashMap::new();
+        let mut untyped: Vec<Value> = Vec::new();
+        for (val, d) in conf.active_domain_untracked() {
+            by_domain.entry(d).or_default().push(val.clone());
+            untyped.push(val);
+        }
+        for (val, d) in extra {
+            by_domain.entry(*d).or_default().push(val.clone());
+            untyped.push(val.clone());
+        }
+        for list in by_domain.values_mut() {
+            list.sort();
+            list.dedup();
+        }
+        untyped.sort();
+        untyped.dedup();
+        Self {
+            stats: vec![VisitStats::default(); vars.len()],
+            vars,
+            domains,
+            by_domain,
+            untyped,
+        }
+    }
+
+    /// Walks the valuations in order, handing each to `visit` together with
+    /// the walk's fresh supply, until `visit` breaks with a witness (which
+    /// is returned) or `limit` valuations were visited. Fresh nulls are
+    /// drawn from `fresh` as null slots are first entered, so every null of
+    /// the current valuation sorts below whatever a clone of the supply
+    /// handed to `visit` draws next. A disjunct without variables has
+    /// exactly one (empty) valuation, visited whatever the limit.
+    pub(crate) fn run<T>(
+        &mut self,
+        fresh: &mut FreshSupply,
+        limit: usize,
+        mut visit: impl FnMut(&[Option<Value>], &FreshSupply) -> ControlFlow<T>,
+    ) -> Option<T> {
+        let width = self.vars.last().map_or(0, |v| v.index() + 1);
+        let mut slots: Vec<Option<Value>> = vec![None; width];
+        if self.vars.is_empty() {
+            return visit(&slots, fresh).break_value();
+        }
+        // Variables of one domain (or all untyped ones) share a null group.
+        let mut group_of: HashMap<Option<DomainId>, usize> = HashMap::new();
+        let groups: Vec<usize> = self
+            .domains
+            .iter()
+            .map(|d| {
+                let next = group_of.len();
+                *group_of.entry(*d).or_insert(next)
+            })
+            .collect();
+        let candidates: Vec<&[Value]> = self
+            .domains
+            .iter()
+            .map(|d| match d {
+                Some(d) => self.by_domain.get(d).map_or(&[][..], Vec::as_slice),
+                None => self.untyped.as_slice(),
+            })
+            .collect();
+        let mut dfs = Dfs {
+            vars: &self.vars,
+            candidates: &candidates,
+            groups: &groups,
+            stats: &mut self.stats,
+            slots: &mut slots,
+            nulls: vec![Vec::new(); group_of.len()],
+            open: vec![0; group_of.len()],
+            fresh,
+            visited: 0,
+            limit,
+            witness: None,
+            visit: &mut visit,
+        };
+        dfs.go(0);
+        dfs.witness
+    }
+
+    /// Records what the walk consulted. Candidate lists are sorted and
+    /// deduplicated, so per typed domain the walk is a function of either
+    /// the visited prefix (every traversal was cut by the limit or by a
+    /// witness: only a value sorting strictly below the largest visited
+    /// candidate changes it) or the whole domain (some traversal observed
+    /// the natural end of the list). Untyped variables draw from every
+    /// domain at once: global fallback.
+    pub(crate) fn record_reads(&self, conf: &Configuration) {
+        let mut domain_reads: HashMap<DomainId, (Option<usize>, bool)> = HashMap::new();
+        let mut untyped_read = false;
+        for (dom, stats) in self.domains.iter().zip(&self.stats) {
+            match dom {
+                Some(d) => {
+                    let entry = domain_reads.entry(*d).or_insert((None, false));
+                    if let Some(p) = stats.max_pos {
+                        entry.0 = Some(entry.0.map_or(p, |m: usize| m.max(p)));
+                    }
+                    entry.1 |= stats.completed;
+                }
+                None => untyped_read |= stats.max_pos.is_some() || stats.completed,
+            }
+        }
+        if untyped_read {
+            conf.rec_adom_global();
+        }
+        for (d, (max_pos, completed)) in domain_reads {
+            if completed {
+                conf.rec_adom_walk(d, None);
+            } else if let Some(p) = max_pos {
+                if let Some(list) = self.by_domain.get(&d) {
+                    conf.rec_adom_walk(d, Some(&list[p]));
+                }
+            }
+        }
+    }
+}
+
+/// The mutable state of one [`ValuationWalk::run`].
+struct Dfs<'a, T, F> {
+    vars: &'a [VarId],
+    candidates: &'a [&'a [Value]],
+    /// The null group of each variable.
+    groups: &'a [usize],
+    stats: &'a mut [VisitStats],
+    /// The current (partial) valuation, indexed by [`VarId::index`].
+    slots: &'a mut [Option<Value>],
+    /// The nulls drawn so far per group: null slot `k` of group `g` holds
+    /// `nulls[g][k]`.
+    nulls: Vec<Vec<Value>>,
+    /// The number of null slots open per group on the current branch.
+    open: Vec<usize>,
+    fresh: &'a mut FreshSupply,
+    visited: usize,
+    limit: usize,
+    witness: Option<T>,
+    visit: &'a mut F,
+}
+
+impl<T, F: FnMut(&[Option<Value>], &FreshSupply) -> ControlFlow<T>> Dfs<'_, T, F> {
+    fn done(&self) -> bool {
+        self.visited >= self.limit || self.witness.is_some()
+    }
+
+    fn go(&mut self, idx: usize) {
+        if self.done() {
+            return;
+        }
+        if idx == self.vars.len() {
+            self.visited += 1;
+            self.witness = (self.visit)(self.slots, &*self.fresh).break_value();
+            return;
+        }
+        let slot = self.vars[idx].index();
+        let candidates = self.candidates[idx];
+        // Constant choices.
+        for (pos, c) in candidates.iter().enumerate() {
+            if self.done() {
+                // Cut before entering `pos`: the end of the list was never
+                // observed on this traversal.
+                return;
+            }
+            let stats = &mut self.stats[idx];
+            stats.max_pos = Some(stats.max_pos.map_or(pos, |m| m.max(pos)));
+            self.slots[slot] = Some(c.clone());
+            self.go(idx + 1);
+        }
+        if self.done() {
+            // The cut coincided with the end of the list: still only a
+            // prefix was consulted before the walk stopped.
+            return;
+        }
+        self.stats[idx].completed = true;
+        // Fresh-null choices: reuse any already-open slot of this group or
+        // open the next one (restricted growth keeps patterns canonical).
+        let g = self.groups[idx];
+        let open = self.open[g];
+        for k in 0..=open {
+            if self.done() {
+                return;
+            }
+            if k == self.nulls[g].len() {
+                self.nulls[g].push(self.fresh.next_value());
+            }
+            self.slots[slot] = Some(self.nulls[g][k].clone());
+            let bumped = k == open;
+            if bumped {
+                self.open[g] = open + 1;
+            }
+            self.go(idx + 1);
+            if bumped {
+                self.open[g] = open;
+            }
+        }
+        self.slots[slot] = None;
+    }
+}
+
+/// The tuple of `atom` under the valuation `slots` (indexed by
+/// [`VarId::index`]); `None` if some variable of the atom is unassigned.
+pub(crate) fn ground(atom: &Atom, slots: &[Option<Value>]) -> Option<Tuple> {
+    atom.terms()
+        .iter()
+        .map(|t| match t {
+            Term::Var(v) => slots.get(v.index())?.clone(),
+            Term::Const(c) => Some(c.clone()),
+        })
+        .collect()
+}
+
+/// Collects every valuation a [`ValuationWalk`] visits, as maps, recording
+/// its reads on `conf`: the visit order the witness searches rely on, made
+/// inspectable.
+#[cfg(test)]
 pub(crate) fn enumerate_valuations(
     cq: &ConjunctiveQuery,
     conf: &Configuration,
@@ -171,198 +433,19 @@ pub(crate) fn enumerate_valuations(
     fresh: &mut FreshSupply,
     limit: usize,
 ) -> Vec<HashMap<VarId, Value>> {
-    let mut vars: Vec<VarId> = cq.variables().into_iter().collect();
-    vars.sort();
-    if vars.is_empty() {
-        return vec![HashMap::new()];
-    }
-    let var_domains = cq.infer_var_domains().unwrap_or_default();
-
-    // Candidate constants, grouped per domain once (the active domain is
-    // served from the store's maintained cache); variables of the same
-    // domain share the list instead of re-filtering and re-deduplicating it.
-    // The walk is untracked here: what the enumeration actually consulted is
-    // recorded per domain after the DFS — a whole-domain read only when some
-    // traversal ran off the natural end of a candidate list, a visited-prefix
-    // read when every traversal was cut early by `limit`.
-    let mut by_domain: HashMap<DomainId, Vec<Value>> = HashMap::new();
-    let mut untyped: Vec<Value> = Vec::new();
-    for (val, d) in conf.active_domain_untracked() {
-        by_domain.entry(d).or_default().push(val.clone());
-        untyped.push(val);
-    }
-    for (val, d) in extra {
-        by_domain.entry(*d).or_default().push(val.clone());
-        untyped.push(val.clone());
-    }
-    for list in by_domain.values_mut() {
-        list.sort();
-        list.dedup();
-    }
-    untyped.sort();
-    untyped.dedup();
-    let constant_candidates: Vec<Vec<Value>> = vars
-        .iter()
-        .map(|v| match var_domains.get(v) {
-            Some(d) => by_domain.get(d).cloned().unwrap_or_default(),
-            None => untyped.clone(),
-        })
-        .collect();
-
-    // Fresh-null slots are allocated lazily per (domain, slot index).
-    let mut slot_values: HashMap<(Option<DomainId>, usize), Value> = HashMap::new();
-    let mut out: Vec<HashMap<VarId, Value>> = Vec::new();
-
-    // Per-variable visit statistics for the read recorder: the highest
-    // candidate-list index the DFS entered, and whether some traversal ran
-    // off the natural end of the list (as opposed to being cut by `limit` —
-    // a limit-cut traversal never observed the end, so a prefix read
-    // suffices; a completed one observed "no further candidates", which a
-    // value sorting above everything visited would falsify).
-    #[derive(Default, Clone, Copy)]
-    struct VisitStats {
-        max_pos: Option<usize>,
-        completed: bool,
-    }
-    let mut stats: Vec<VisitStats> = vec![VisitStats::default(); vars.len()];
-
-    // Depth-first enumeration with restricted-growth fresh-slot indices.
-    #[allow(clippy::too_many_arguments)]
-    fn go(
-        idx: usize,
-        vars: &[VarId],
-        var_domains: &HashMap<VarId, DomainId>,
-        constant_candidates: &[Vec<Value>],
-        used_slots: &mut HashMap<Option<DomainId>, usize>,
-        slot_values: &mut HashMap<(Option<DomainId>, usize), Value>,
-        fresh: &mut FreshSupply,
-        current: &mut HashMap<VarId, Value>,
-        out: &mut Vec<HashMap<VarId, Value>>,
-        limit: usize,
-        stats: &mut [VisitStats],
-    ) {
-        if out.len() >= limit {
-            return;
-        }
-        if idx == vars.len() {
-            out.push(current.clone());
-            return;
-        }
-        let v = vars[idx];
-        let dom = var_domains.get(&v).copied();
-        // Constant choices.
-        for (pos, c) in constant_candidates[idx].iter().enumerate() {
-            if out.len() >= limit {
-                // Cut before entering `pos`: the end of the list was never
-                // observed on this traversal.
-                return;
-            }
-            stats[idx].max_pos = Some(stats[idx].max_pos.map_or(pos, |m| m.max(pos)));
-            current.insert(v, c.clone());
-            go(
-                idx + 1,
-                vars,
-                var_domains,
-                constant_candidates,
-                used_slots,
-                slot_values,
-                fresh,
-                current,
-                out,
-                limit,
-                stats,
-            );
-        }
-        if out.len() >= limit {
-            // The cut coincided with the end of the list: still only a
-            // prefix was consulted before enumeration stopped.
-            return;
-        }
-        stats[idx].completed = true;
-        // Fresh-null choices: reuse any already-open slot of this domain or
-        // open the next one (restricted growth keeps patterns canonical).
-        let open = *used_slots.get(&dom).unwrap_or(&0);
-        for slot in 0..=open {
-            if out.len() >= limit {
-                return;
-            }
-            let value = slot_values
-                .entry((dom, slot))
-                .or_insert_with(|| fresh.next_value())
-                .clone();
-            current.insert(v, value);
-            let bumped = slot == open;
-            if bumped {
-                used_slots.insert(dom, open + 1);
-            }
-            go(
-                idx + 1,
-                vars,
-                var_domains,
-                constant_candidates,
-                used_slots,
-                slot_values,
-                fresh,
-                current,
-                out,
-                limit,
-                stats,
-            );
-            if bumped {
-                used_slots.insert(dom, open);
-            }
-        }
-        current.remove(&v);
-    }
-
-    let mut used_slots: HashMap<Option<DomainId>, usize> = HashMap::new();
-    let mut current = HashMap::new();
-    go(
-        0,
-        &vars,
-        &var_domains,
-        &constant_candidates,
-        &mut used_slots,
-        &mut slot_values,
-        fresh,
-        &mut current,
-        &mut out,
-        limit,
-        &mut stats,
-    );
-
-    // Record what the enumeration consulted. Candidate lists are sorted and
-    // deduplicated, so per typed domain the output is a function of either
-    // the visited prefix (every traversal limit-cut: only a value sorting
-    // strictly below the largest visited candidate changes the walk) or the
-    // whole domain (some traversal observed the natural end of the list).
-    // Untyped variables draw from every domain at once — global fallback.
-    let mut domain_reads: HashMap<DomainId, (Option<usize>, bool)> = HashMap::new();
-    let mut untyped_read = false;
-    for (i, v) in vars.iter().enumerate() {
-        match var_domains.get(v) {
-            Some(d) => {
-                let entry = domain_reads.entry(*d).or_insert((None, false));
-                if let Some(p) = stats[i].max_pos {
-                    entry.0 = Some(entry.0.map_or(p, |m: usize| m.max(p)));
-                }
-                entry.1 |= stats[i].completed;
-            }
-            None => untyped_read |= stats[i].max_pos.is_some() || stats[i].completed,
-        }
-    }
-    if untyped_read {
-        conf.rec_adom_global();
-    }
-    for (d, (max_pos, completed)) in domain_reads {
-        if completed {
-            conf.rec_adom_walk(d, None);
-        } else if let Some(p) = max_pos {
-            if let Some(list) = by_domain.get(&d) {
-                conf.rec_adom_walk(d, Some(&list[p]));
-            }
-        }
-    }
+    let mut walk = ValuationWalk::new(cq, conf, extra);
+    let mut out = Vec::new();
+    walk.run::<()>(fresh, limit, |slots, _| {
+        out.push(
+            slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, v)| Some((VarId(i as u32), v.clone()?)))
+                .collect(),
+        );
+        ControlFlow::Continue(())
+    });
+    walk.record_reads(conf);
     out
 }
 
@@ -889,6 +972,62 @@ mod tests {
         assert!(!vals.iter().any(|m| m[&x] == Value::sym("wrong")));
         let limited = enumerate_valuations(&q, &conf, &[], &mut fresh, 1);
         assert_eq!(limited.len(), 1);
+    }
+
+    #[test]
+    fn valuation_walk_stops_at_the_first_witness() {
+        // x (domain E) walks e0 < … < e4, then a null; the visitor accepts
+        // e2, the third valuation.
+        let (schema, _) = two_domain_setup();
+        let e = schema.domain_by_name("E").unwrap();
+        let mut qb = ConjunctiveQuery::builder(schema.clone());
+        let x = qb.var("x");
+        qb.atom("S", vec![Term::Var(x)]).unwrap();
+        let q = qb.build();
+        let mut conf = Configuration::empty(schema);
+        for i in 0..5 {
+            conf.insert_named("S", [format!("e{i}")]).unwrap();
+        }
+        let walk_until = |conf: &mut Configuration, target: Option<&str>, limit| {
+            let mut walk = ValuationWalk::new(&q, conf, &[]);
+            let mut visits = 0;
+            conf.begin_read_tracking();
+            let witness = walk.run(&mut FreshSupply::new(), limit, |slots, _| {
+                visits += 1;
+                let value = slots[x.index()].clone().expect("x is assigned");
+                match target {
+                    Some(t) if value == Value::sym(t) => ControlFlow::Break(value),
+                    _ => ControlFlow::Continue(()),
+                }
+            });
+            walk.record_reads(conf);
+            (witness, visits, conf.take_read_set())
+        };
+        let (witness, visits, reads) = walk_until(&mut conf, Some("e2"), 1000);
+        assert_eq!(witness, Some(Value::sym("e2")));
+        assert_eq!(visits, 3);
+        assert_eq!(reads.adom_prefixes.get(&e), Some(&Value::sym("e2")));
+        assert!(!reads.adom_domains.contains(&e));
+        // A limit cut reads a prefix too; running off the end of the list
+        // reads the whole domain.
+        let (witness, visits, reads) = walk_until(&mut conf, None, 4);
+        assert_eq!((witness, visits), (None, 4));
+        assert_eq!(reads.adom_prefixes.get(&e), Some(&Value::sym("e3")));
+        let (witness, visits, reads) = walk_until(&mut conf, None, 1000);
+        assert_eq!((witness, visits), (None, 6));
+        assert!(reads.adom_domains.contains(&e));
+        assert!(reads.adom_prefixes.is_empty());
+    }
+
+    #[test]
+    fn ground_reads_variables_from_their_slots() {
+        let (schema, _) = two_domain_setup();
+        let r = schema.relation_by_name("R").unwrap();
+        let atom = Atom::new(r, vec![Term::Var(VarId(1)), Term::constant("k")]);
+        let slots = vec![None, Some(Value::sym("a"))];
+        assert_eq!(ground(&atom, &slots), Some(tuple(["a", "k"])));
+        assert_eq!(ground(&atom, &[Some(Value::sym("a"))]), None);
+        assert_eq!(ground(&atom, &[Some(Value::sym("a")), None]), None);
     }
 
     #[test]
