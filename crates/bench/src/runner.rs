@@ -211,6 +211,12 @@ pub fn e4_dependent_pq(widths: &[usize], repeats: usize) -> Table {
 }
 
 /// E5 — data complexity: fixed query, growing configuration.
+///
+/// The `LTR independent (fixed query)` timings compare different verdicts:
+/// on the generated configurations the access is long-term relevant at
+/// small sizes (10 facts) and not from about 50 facts on, and the
+/// not-relevant checks take a fraction of the time. Its `verdict` row
+/// (1 = relevant) says which verdict each size's timing stands for.
 pub fn e5_data_complexity(sizes: &[usize], repeats: usize) -> Table {
     let mut rows = Vec::new();
     for &size in sizes {
@@ -225,20 +231,29 @@ pub fn e5_data_complexity(sizes: &[usize], repeats: usize) -> Table {
             rows.push(Row::new(series, size, "median µs", t));
         }
         let f = fixtures::data_complexity_fixture(size, false);
-        let t = median_micros(repeats, || {
-            let _ = ltr_independent::is_ltr_independent_budgeted(
+        let ltr = || {
+            ltr_independent::is_ltr_independent_budgeted(
                 &f.query,
                 &f.configuration,
                 &f.access,
                 &f.methods,
                 &f.budget,
-            );
+            )
+        };
+        let t = median_micros(repeats, || {
+            let _ = ltr();
         });
         rows.push(Row::new(
             "LTR independent (fixed query)",
             size,
             "median µs",
             t,
+        ));
+        rows.push(Row::new(
+            "LTR independent (fixed query)",
+            size,
+            "verdict",
+            f64::from(u8::from(ltr())),
         ));
         rows.push(Row::new(
             "configuration facts",
@@ -249,7 +264,8 @@ pub fn e5_data_complexity(sizes: &[usize], repeats: usize) -> Table {
     }
     Table {
         id: "E5".to_string(),
-        title: "Data complexity: fixed query, configuration size swept (PTIME/AC0 claims)"
+        title: "Data complexity: fixed query, configuration size swept (PTIME/AC0 claims; \
+                the LTR verdict differs between sizes)"
             .to_string(),
         rows,
     }
@@ -1196,10 +1212,11 @@ pub fn check_invalidation_savings() -> Result<InvalidationSavings, String> {
 }
 
 /// The million-fact job: the E5 data-complexity point plus the F1
-/// (threaded), F2 (async, virtual-clock) and F3 (multi-tenant serving)
-/// sweeps at 10⁶ facts, once each — the non-blocking CI step compares the
-/// resulting JSON against `BENCH_million_baseline.json` (which may predate
-/// F2/F3; missing rows are ignored by `bench_compare`) and uploads it.
+/// (threaded), F2 (async, virtual-clock), F3 (multi-tenant serving) and F4
+/// (chaos) sweeps plus the S1 store table at 10⁶ facts, once each — the
+/// non-blocking CI step compares the resulting JSON against
+/// `BENCH_million_baseline.json` (rows on only one side are ignored by
+/// `bench_compare`) and uploads it.
 pub fn run_million() -> Vec<Table> {
     let world = fixtures::federation_world(1_000_000);
     vec![
@@ -1323,9 +1340,17 @@ mod tests {
         assert_eq!(t1.rows.len(), 8);
         let t2 = e2_ltr_independent(&[1, 2], 1);
         assert_eq!(t2.rows.len(), 4);
-        let t5 = e5_data_complexity(&[5, 10], 1);
-        assert_eq!(t5.rows.len(), 8);
+        let t5 = e5_data_complexity(&[10, 50], 1);
+        assert_eq!(t5.rows.len(), 10);
         assert!(t5.rows.iter().any(|r| r.metric == "count" && r.value > 0.0));
+        // The documented verdict flip: relevant at 10 facts, not at 50.
+        let verdicts: Vec<(&str, f64)> = t5
+            .rows
+            .iter()
+            .filter(|r| r.metric == "verdict")
+            .map(|r| (r.parameter.as_str(), r.value))
+            .collect();
+        assert_eq!(verdicts, [("10", 1.0), ("50", 0.0)]);
         let t8 = e8_reductions(1);
         assert!(t8.rows.iter().any(|r| r.metric == "bool" && r.value == 1.0));
     }

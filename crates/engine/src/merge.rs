@@ -233,12 +233,17 @@ impl<'q> MergeLoop<'q> {
     /// Applies the response of the selected access: a failed call consumes
     /// the candidate without a response; a successful one grows the
     /// configuration and invalidates the verdicts the growth touched.
+    ///
+    /// A failed call takes the run off its verdict class's trajectory (the
+    /// failure-free run, which applied that response), so the oracle stops
+    /// using the shared cache from here on.
     fn consume(&mut self, access: Access) {
         let response = self
             .prefetched
             .remove(&access)
             .expect("selected access was fetched by the driver");
         let Some(response) = response else {
+            self.oracle.leave_shared_trajectory();
             return;
         };
         self.tuples_retrieved += response.len();
@@ -423,4 +428,84 @@ fn guessable_pool(query: &Query, options: &RunOptions, initial: &Configuration) 
     }
     pool.sort();
     pool
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::FederatedEngine;
+    use crate::scenarios::bank_scenario;
+    use crate::source::{DeepWebSource, ResponsePolicy};
+    use accrel_core::SearchBudget;
+
+    /// Two sessions of one verdict class share a cache; the first has its
+    /// second call failed by the source. From the failure on it neither
+    /// publishes nor looks up shared verdicts, and the second session still
+    /// reproduces its solo sequential run.
+    #[test]
+    fn a_failed_call_fences_the_session_off_the_shared_cache() {
+        let scenario = bank_scenario();
+        let source = DeepWebSource::new(
+            scenario.instance.clone(),
+            scenario.methods.clone(),
+            ResponsePolicy::Exact,
+        );
+        let options = RunOptions {
+            budget: SearchBudget::shallow(),
+            batch_size: 1,
+            ..RunOptions::default()
+        };
+        let shared = SharedVerdictCache::new();
+        let class = 7;
+
+        let mut failing = MergeLoop::new(
+            &scenario.query,
+            Strategy::Hybrid,
+            &options,
+            source.methods(),
+            &scenario.initial_configuration,
+            Some((class, shared.clone())),
+        );
+        let mut fetches = 0;
+        let mut at_failure = None;
+        while let MergeStep::Fetch(batch) = failing.step() {
+            fetches += 1;
+            if fetches == 2 {
+                failing.supply(batch, vec![None]);
+                at_failure = Some((shared.len(), shared.hits(), failing.oracle.misses()));
+            } else {
+                let responses = batch.iter().map(|a| source.call(a).ok()).collect();
+                failing.supply(batch, responses);
+            }
+        }
+        let (published, hits, misses) = at_failure.expect("the session reached a second call");
+        let failed = failing.into_report();
+        assert!(published > 0, "the session published before its failure");
+        assert!(
+            failed.relevance_cache_misses > misses,
+            "the session checked relevance after its failure"
+        );
+        assert_eq!(shared.len(), published, "published after the failure");
+        assert_eq!(shared.hits(), hits, "looked up after the failure");
+
+        let healthy = MergeLoop::new(
+            &scenario.query,
+            Strategy::Hybrid,
+            &options,
+            source.methods(),
+            &scenario.initial_configuration,
+            Some((class, shared.clone())),
+        )
+        .run(|batch| batch.iter().map(|a| source.call(a).ok()).collect());
+        let solo = FederatedEngine::new(&source, scenario.query.clone(), Strategy::Hybrid)
+            .with_options(options.clone())
+            .run(&scenario.initial_configuration);
+        assert!(healthy.relevance_shared_hits > 0);
+        assert_eq!(healthy.access_sequence, solo.access_sequence);
+        assert_eq!(healthy.relevance_verdicts, solo.relevance_verdicts);
+        assert_eq!(healthy.answers, solo.answers);
+        assert!(healthy
+            .final_configuration
+            .same_facts(&solo.final_configuration));
+    }
 }

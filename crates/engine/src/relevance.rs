@@ -190,11 +190,19 @@ struct SharedVerdictState {
 /// growth elsewhere leaves the key — and the verdict — intact. That realises
 /// "invalidate only on relevant growth" without any invalidation traffic.
 ///
-/// The `class` discriminant must fold in everything else the verdict is a
-/// function of — query, strategy, options, and the initial configuration —
-/// so that only sessions following the *same* growth trajectory share
-/// entries; the serving layer derives it from the request + initial
-/// fingerprint.
+/// The `class` discriminant must fold in everything else the verdict or the
+/// trajectory is a function of — query, strategy, the verdict-deciding
+/// options, and the initial configuration — so that only sessions following
+/// the *same* growth trajectory share entries; the serving layer derives it
+/// from the request + initial fingerprint. The access cap and the batching
+/// knobs stay out: they truncate a trajectory or prefetch along it, never
+/// change it.
+///
+/// The read sets riding along name values by interner id. Ids agree across
+/// the sessions of a class because they depend only on the committed
+/// trajectory: a procedure forgets the values it interned for tentative
+/// responses (see `ConfAccess::run_recorded`), whether or not another
+/// session ran it.
 #[derive(Debug, Clone, Default)]
 pub struct SharedVerdictCache {
     inner: Arc<Mutex<SharedVerdictState>>,
@@ -379,6 +387,13 @@ impl ConfAccess<'_> {
     /// recorded [`ReadSet`] (`None` when tracking was off or impossible —
     /// the `Shared` path holds the configuration immutably and cannot
     /// install a recorder, so its verdicts keep the coarse dependency set).
+    ///
+    /// On an owned configuration the values the procedure interned for its
+    /// tentative responses are forgotten afterwards (their reads are kept
+    /// by value). Sessions sharing verdicts intern differently otherwise —
+    /// a shared hit skips the procedure and its interning — and a read set
+    /// published with one session's value ids would name other values in
+    /// the next session.
     fn run_recorded(
         &mut self,
         kind: RelevanceKind,
@@ -388,14 +403,19 @@ impl ConfAccess<'_> {
         access: &Access,
         track: bool,
     ) -> (bool, Option<ReadSet>) {
+        let interned = self.as_ref().store().interner().len();
         if let (true, ConfAccess::Owned(conf)) = (track, &mut *self) {
             conf.begin_read_tracking();
         }
         let verdict = self.run(kind, query, methods, budget, access);
-        let reads = match self {
+        let mut reads = match self {
             ConfAccess::Owned(conf) if track => Some(conf.take_read_set()),
             _ => None,
         };
+        if let ConfAccess::Owned(conf) = self {
+            conf.store_mut()
+                .forget_values_since(interned, reads.as_mut());
+        }
         (verdict, reads)
     }
 }
@@ -450,13 +470,23 @@ impl<'a> RelevanceOracle<'a> {
     /// probe it before running a decision procedure, and publish their
     /// result into it afterwards. `class` must identify the verdict class —
     /// everything besides `(kind, access, dep versions)` that the verdict
-    /// depends on (query, strategy, options, initial configuration); the
-    /// serving layer hashes the request for this. Only effective while the
-    /// per-run cache is enabled (the uncached mode exists to reproduce the
-    /// pre-incremental engine exactly, so it bypasses sharing too).
+    /// depends on (query, strategy, verdict-deciding options, initial
+    /// configuration); the serving layer hashes the request for this. Only
+    /// effective while the per-run cache is enabled (the uncached mode
+    /// exists to reproduce the pre-incremental engine exactly, so it
+    /// bypasses sharing too).
     pub fn with_shared_cache(mut self, class: u64, cache: SharedVerdictCache) -> Self {
         self.shared = Some((class, cache));
         self
+    }
+
+    /// Stops looking up and publishing shared verdicts for the rest of the
+    /// run. Call when the run's configuration leaves its class's trajectory
+    /// (a failed call): from then on its dep-count stamps can equal another
+    /// session's while the facts behind them differ. Verdicts published
+    /// before were computed on the trajectory and stay valid.
+    pub fn leave_shared_trajectory(&mut self) {
+        self.shared = None;
     }
 
     /// A scratch copy for speculative look-ahead: shares the cached verdicts

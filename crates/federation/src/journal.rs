@@ -23,7 +23,19 @@
 //! relation *fact counts*, so a journal is only meaningful to a process
 //! loading the same schema, methods, and initial configuration — exactly
 //! the serving layer's `verdict_class` contract, whose class discriminant
-//! (also journaled) fences off mismatched trajectories.
+//! (also journaled) fences off mismatched trajectories. The class holds
+//! the initial-configuration fingerprint, the query and schema, the
+//! strategy, and the `budget`, `guessable_values`, `stop_when_certain`,
+//! `use_relevance_cache` and `invalidation` options. It leaves out
+//! `max_accesses`, `batch_size`, `workers` and `speculation`, which only
+//! truncate the trajectory or decide what is fetched ahead, so a journal of
+//! a deep-cap round warm-starts a shallow-cap round with other batch knobs.
+//! Journals written while the class still hashed every option restore
+//! entries under classes no session derives any more: they replay with
+//! zero hits, never with wrong ones. Journaled read sets name values by
+//! interner id; ids follow the committed trajectory alone (procedures
+//! forget the values they intern for tentative responses), so they mean
+//! the same values in every process replaying the class.
 
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};

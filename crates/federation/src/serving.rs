@@ -23,9 +23,11 @@
 //!   [`SharedVerdictCache`] to their relevance oracles, so a verdict
 //!   computed by one session (or a *previous* `serve` call on the same
 //!   registry) is reused by every later session in the same verdict class
-//!   (same initial configuration, query, strategy and options). The cache
-//!   is version-keyed by the verdict's dependency relations, so entries
-//!   retire automatically when a relevant relation grows.
+//!   (same initial configuration, query, strategy and verdict-deciding
+//!   options; the access cap and the batching knobs are left out, see
+//!   `verdict_class`). The cache is version-keyed by the verdict's
+//!   dependency relations, so entries retire automatically when a relevant
+//!   relation grows.
 //!
 //! Because joined sessions receive the leader's response and the sources
 //! are deterministic functions of the access, every session still reports
@@ -47,7 +49,9 @@ use std::task::{Context, Poll, Waker};
 
 use accrel_access::{Access, Response};
 use accrel_engine::relevance::SharedVerdictCache;
-use accrel_engine::{ChaosStats, MergeLoop, MergeStep, RunReport, RunRequest, SourceStats};
+use accrel_engine::{
+    ChaosStats, MergeLoop, MergeStep, RunOptions, RunReport, RunRequest, SourceStats,
+};
 use accrel_schema::Configuration;
 
 use crate::async_federation::AsyncFederation;
@@ -377,17 +381,49 @@ impl accrel_engine::Executor for Serving<'_> {
     }
 }
 
-/// The verdict class of a request: sessions share verdicts only when their
-/// initial configuration, query, strategy and options all agree (a coarser
-/// key would let a deep-budget verdict leak into a shallow-budget run).
+/// The verdict class of a request: sessions share verdicts exactly when
+/// they follow the same verdict trajectory, i.e. when every input that
+/// decides a verdict or the access applied next agrees.
+///
+/// The class holds the initial-configuration fingerprint, the query and its
+/// schema, the strategy, and the options `budget` (a deep-budget verdict
+/// must not leak into a shallow-budget run), `guessable_values`,
+/// `stop_when_certain`, `use_relevance_cache` and `invalidation`.
+///
+/// It leaves out `max_accesses`, `batch_size`, `workers` and `speculation`.
+/// The cap only truncates the trajectory: [`MergeLoop::step`] checks it
+/// after certainty and otherwise only sizes the prefetch allowance, which
+/// never changes which access is applied. Batch size, workers and
+/// speculation only decide which responses are fetched ahead of time
+/// (`tests/federation_equivalence.rs` pins them as trajectory-neutral). So
+/// a cap-12 session reuses the verdicts of a cap-48 one, and the dep-count
+/// stamps of the shared key still identify the facts, since both sessions
+/// walk the same prefix of configurations. A session whose call fails
+/// leaves that trajectory and stops sharing (see [`MergeLoop`]).
+///
+/// `RunOptions` is destructured field by field, so a new option does not
+/// compile until it is placed on one side or the other.
 ///
 /// Every ingredient must render deterministically **across processes** — a
 /// journal replay (see the `journal` module) rebuilds the cache in a fresh
 /// process and only hits when it derives the same class. The query is
 /// therefore hashed through its `Display` form plus an id-ordered walk of
 /// its schema, never through `Debug` (whose embedded `HashMap`s iterate in
-/// a per-process random order).
+/// a per-process random order). Journals written while the class still
+/// hashed every option replay into classes no session derives any more:
+/// they restore entries that are never hit, never a wrong verdict.
 fn verdict_class(request: &RunRequest, initial: &Configuration) -> u64 {
+    let RunOptions {
+        guessable_values,
+        budget,
+        stop_when_certain,
+        use_relevance_cache,
+        invalidation,
+        max_accesses: _,
+        batch_size: _,
+        workers: _,
+        speculation: _,
+    } = &request.options;
     let mut h = DefaultHasher::new();
     initial.fingerprint().hash(&mut h);
     request.query.to_string().hash(&mut h);
@@ -396,7 +432,11 @@ fn verdict_class(request: &RunRequest, initial: &Configuration) -> u64 {
         format!("{relation:?}").hash(&mut h);
     }
     format!("{:?}", request.strategy).hash(&mut h);
-    format!("{:?}", request.options).hash(&mut h);
+    format!("{guessable_values:?}").hash(&mut h);
+    format!("{budget:?}").hash(&mut h);
+    stop_when_certain.hash(&mut h);
+    use_relevance_cache.hash(&mut h);
+    format!("{invalidation:?}").hash(&mut h);
     h.finish()
 }
 
@@ -677,7 +717,10 @@ mod tests {
     use crate::async_source::BlockingSource;
     use crate::source::{LatencyModel, PolicySource};
     use accrel_engine::scenarios::{bank_scenario, Scenario};
-    use accrel_engine::{DeepWebSource, ResponsePolicy, RunOptions, Strategy};
+    use accrel_engine::{
+        DeepWebSource, InvalidationMode, ResponsePolicy, SpeculationMode, Strategy,
+    };
+    use accrel_schema::Value;
 
     /// The bank scenario behind an async federation whose (deterministic)
     /// source answers after a 100µs virtual round trip — long enough for
@@ -819,6 +862,152 @@ mod tests {
             second.sessions[0].report.relevance_verdicts,
             first.sessions[0].report.relevance_verdicts
         );
+    }
+
+    fn hybrid_request(scenario: &Scenario, options: RunOptions) -> RunRequest {
+        RunRequest::new(scenario.query.clone())
+            .with_strategy(Strategy::Hybrid)
+            .with_options(options)
+    }
+
+    fn shallow() -> RunOptions {
+        RunOptions {
+            budget: accrel_core::SearchBudget::shallow(),
+            ..RunOptions::default()
+        }
+    }
+
+    #[test]
+    fn the_access_cap_and_batch_knobs_stay_out_of_the_verdict_class() {
+        let scenario = bank_scenario();
+        let initial = &scenario.initial_configuration;
+        let class = verdict_class(&hybrid_request(&scenario, shallow()), initial);
+        for options in [
+            RunOptions {
+                max_accesses: 3,
+                ..shallow()
+            },
+            RunOptions {
+                batch_size: 1,
+                ..shallow()
+            },
+            RunOptions {
+                workers: 16,
+                ..shallow()
+            },
+            RunOptions {
+                speculation: SpeculationMode::Eager,
+                ..shallow()
+            },
+        ] {
+            assert_eq!(
+                verdict_class(&hybrid_request(&scenario, options.clone()), initial),
+                class,
+                "{options:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_verdict_deciding_input_splits_the_verdict_class() {
+        let scenario = bank_scenario();
+        let initial = &scenario.initial_configuration;
+        let base = hybrid_request(&scenario, shallow());
+        let mut grown = initial.clone();
+        let (rel, fact) = scenario
+            .instance
+            .facts()
+            .find(|(rel, fact)| !initial.contains(*rel, fact))
+            .expect("the hidden instance holds a fact the seed lacks");
+        grown.insert(rel, fact).unwrap();
+        let mut classes = vec![
+            verdict_class(&base, initial),
+            verdict_class(&base, &grown),
+            verdict_class(&base.clone().with_strategy(Strategy::LtrGuided), initial),
+        ];
+        for options in [
+            RunOptions::default(),
+            RunOptions {
+                invalidation: InvalidationMode::RelationLevel,
+                ..shallow()
+            },
+            RunOptions {
+                guessable_values: vec![Value::sym("guess")],
+                ..shallow()
+            },
+            RunOptions {
+                stop_when_certain: false,
+                ..shallow()
+            },
+            RunOptions {
+                use_relevance_cache: false,
+                ..shallow()
+            },
+        ] {
+            classes.push(verdict_class(&hybrid_request(&scenario, options), initial));
+        }
+        let distinct: std::collections::HashSet<u64> = classes.iter().copied().collect();
+        assert_eq!(distinct.len(), classes.len(), "{classes:x?}");
+    }
+
+    /// A journal written after a cap-48 round warm-starts a cap-12 round
+    /// with other batch knobs: every relevance check of every session is a
+    /// shared-cache hit.
+    #[test]
+    fn a_deep_cap_journal_warm_starts_a_shallow_cap_round() {
+        let (federation, scenario) = bank_async_federation();
+        let round = |cap: usize, batch_size: usize, speculation: SpeculationMode| {
+            [Strategy::IrGuided, Strategy::LtrGuided, Strategy::Hybrid]
+                .into_iter()
+                .map(|strategy| {
+                    RunRequest::new(scenario.query.clone())
+                        .with_strategy(strategy)
+                        .with_options(RunOptions {
+                            max_accesses: cap,
+                            batch_size,
+                            speculation,
+                            ..shallow()
+                        })
+                })
+                .collect::<Vec<_>>()
+        };
+        let registry = QuerySessionRegistry::new(&federation);
+        let deep = registry.serve(
+            &round(48, 8, SpeculationMode::Eager),
+            &scenario.initial_configuration,
+        );
+        let runs: Vec<&RunReport> = deep.sessions.iter().map(|s| &s.report).collect();
+        let dir = std::env::temp_dir().join(format!("accrel-serving-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("deep_cap.journal");
+        crate::RunJournal::write_to(&path, &runs, registry.verdict_cache()).unwrap();
+        let restored = SharedVerdictCache::new();
+        let summary = crate::RunJournal::replay(&path, &restored).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(summary.verdicts_restored > 0);
+
+        let warm =
+            QuerySessionRegistry::with_verdicts(&federation, ServingOptions::default(), restored)
+                .serve(
+                    &round(12, 1, SpeculationMode::CachedOnly),
+                    &scenario.initial_configuration,
+                );
+        assert!(
+            warm.sessions
+                .iter()
+                .zip(&deep.sessions)
+                .any(|(w, d)| w.report.accesses_made < d.report.accesses_made),
+            "the shallow cap truncates some session"
+        );
+        for s in &warm.sessions {
+            let run = &s.report;
+            assert!(run.relevance_cache_misses > 0, "session {}", s.session);
+            assert_eq!(
+                run.relevance_shared_hits, run.relevance_cache_misses,
+                "session {} ran a decision procedure",
+                s.session
+            );
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!
 //! * interning is injective and stable: a value, once interned, keeps its id
 //!   for the lifetime of the interner (ids are never recycled, even when the
-//!   last fact containing the value is removed);
+//!   last fact containing the value is removed), except that
+//!   [`ValueInterner::truncate`] forgets the newest values of a speculation
+//!   that left no reference to them behind;
 //! * `resolve(intern(v)) == v` for every value (round-trip identity);
 //! * ids are allocated densely from 0 in first-seen order, so they can index
 //!   plain vectors.
@@ -86,6 +88,15 @@ impl ValueInterner {
         self.values.is_empty()
     }
 
+    /// Forgets every value interned after the first `len`, so the next new
+    /// value gets id `len` again. The caller guarantees that nothing holds
+    /// the forgotten ids any more.
+    pub fn truncate(&mut self, len: usize) {
+        for v in self.values.drain(len.min(self.values.len())..) {
+            self.ids.remove(&v);
+        }
+    }
+
     /// Iterates over `(ValueId, &Value)` pairs in allocation order.
     pub fn iter(&self) -> impl Iterator<Item = (ValueId, &Value)> {
         self.values
@@ -117,6 +128,22 @@ mod tests {
             assert_eq!(i.lookup(v), Some(id));
         }
         assert_eq!(i.len(), vals.len());
+    }
+
+    #[test]
+    fn truncate_forgets_the_newest_values_and_reissues_their_ids() {
+        let mut i = ValueInterner::new();
+        let a = i.intern(&Value::sym("a"));
+        i.intern(&Value::fresh(1));
+        i.intern(&Value::fresh(2));
+        i.truncate(1);
+        assert_eq!(i.len(), 1);
+        assert_eq!(i.lookup(&Value::fresh(1)), None);
+        assert_eq!(i.lookup(&Value::sym("a")), Some(a));
+        assert_eq!(i.intern(&Value::sym("b")), ValueId(1));
+        // Truncating past the end is a no-op.
+        i.truncate(5);
+        assert_eq!(i.len(), 2);
     }
 
     #[test]

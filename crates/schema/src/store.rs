@@ -48,8 +48,9 @@
 //! `insert` / `remove` / `extend_facts` row pushes one undo entry, and
 //! undoing replays the entries in LIFO order, reversing row placement,
 //! per-attribute posting lists, `rows_by_key` slots and adom refcounts
-//! *exactly* (the interner is append-only and deliberately not rolled back —
-//! a spuriously-known value is semantically invisible). The scoped
+//! *exactly* (the undo does not roll the interner back — a spuriously-known
+//! value is semantically invisible; owners that need ids to follow the
+//! committed facts call [`FactStore::forget_values_since`]). The scoped
 //! [`FactStore::speculate`] guard pops the trail even on panic.
 //!
 //! The trail is **single-owner by construction**: it lives behind `&mut
@@ -322,9 +323,10 @@ impl ReadSet {
     ///
     /// Active-domain reads trigger only on values *newly* entering the
     /// domain (growth is monotone, so a positive membership probe can never
-    /// flip). Unknown-value probes are resolved against `interner` now: the
-    /// interner is append-only, so a value that was unknown at read time
-    /// and is known now was interned by a later insert.
+    /// flip). Unknown-value probes are resolved against `interner` now:
+    /// between decision procedures the interner only grows, so a value that
+    /// was unknown at read time (or forgotten after it) and is known now was
+    /// interned by a later insert.
     pub fn touched_by(&self, event: &InsertEvent, interner: &ValueInterner) -> bool {
         if self.all {
             return true;
@@ -520,6 +522,39 @@ impl FactStore {
             },
             None => ReadSet::default(),
         }
+    }
+
+    /// Forgets the values interned since the interner held `len` of them,
+    /// and rewrites `reads`' probes of them into the by-value form kept for
+    /// values the interner does not know (`unknown_values`,
+    /// `adom_unknown`), which [`ReadSet::touched_by`] resolves at drain
+    /// time. For a decision procedure that interned the values of its
+    /// tentative responses and undid every fact holding them (the undo
+    /// drops their index and active-domain entries): afterwards ids are a
+    /// function of the values committed facts brought in, whichever
+    /// procedures ran. A no-op while a trail is open.
+    pub fn forget_values_since(&mut self, len: usize, reads: Option<&mut ReadSet>) {
+        if self.trail_is_active() || self.interner.len() <= len {
+            return;
+        }
+        if let Some(rs) = reads {
+            let interner = &self.interner;
+            rs.pairs.retain(|&(rel, id)| {
+                id.index() < len || {
+                    rs.unknown_values
+                        .insert((rel, interner.resolve(id).clone()));
+                    false
+                }
+            });
+            rs.adom_pairs.retain(|&(id, domain)| {
+                id.index() < len || {
+                    rs.adom_unknown
+                        .insert((interner.resolve(id).clone(), domain));
+                    false
+                }
+            });
+        }
+        Arc::make_mut(&mut self.interner).truncate(len);
     }
 
     /// Whether a read recorder is currently installed.
@@ -1458,6 +1493,37 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert_eq!(store.relation_len(r), 1);
         assert!(!store.is_empty());
+    }
+
+    /// Values a speculation interned are forgotten after the undo, and a
+    /// read of one of them, kept by value, still fires when the value is
+    /// later committed under a new id.
+    #[test]
+    fn forgotten_speculative_values_stay_readable_by_value() {
+        let schema = small_schema();
+        let r = schema.relation_by_name("R").unwrap();
+        let s = schema.relation_by_name("S").unwrap();
+        let mut store = FactStore::new(schema);
+        store.insert(r, tuple(["x", "y"])).unwrap();
+        let committed = store.interner().len();
+        store.begin_read_tracking();
+        let mark = store.begin_trail();
+        store.insert(r, tuple(["x", "tentative"])).unwrap();
+        let _ = store.matching(s, &[0], &[Value::sym("tentative")]);
+        store.undo_to(mark);
+        let mut reads = store.take_read_set();
+        assert_eq!(store.interner().len(), committed + 1);
+        store.forget_values_since(committed, Some(&mut reads));
+        assert_eq!(store.interner().len(), committed);
+        assert!(reads.pairs.iter().all(|(_, id)| id.index() < committed));
+        assert!(reads.unknown_values.contains(&(s, Value::sym("tentative"))));
+
+        store.set_event_capture(true);
+        store.insert(s, tuple(["other"])).unwrap();
+        store.insert(s, tuple(["tentative"])).unwrap();
+        let events = store.take_events();
+        assert!(!reads.touched_by(&events[0], store.interner()));
+        assert!(reads.touched_by(&events[1], store.interner()));
     }
 
     #[test]

@@ -68,6 +68,30 @@ fn async_federation_for(scenario: &Scenario, policy: &ResponsePolicy) -> AsyncFe
     builder.source(source, &names).unwrap().build().unwrap()
 }
 
+/// A served session reports byte-for-byte what its sequential run reports.
+fn assert_same_run(served: &RunReport, sequential: &RunReport, cell: &str) {
+    assert_eq!(
+        served.access_sequence, sequential.access_sequence,
+        "access sequence diverged: {cell}"
+    );
+    assert_eq!(served.certain, sequential.certain, "verdict: {cell}");
+    assert_eq!(served.answers, sequential.answers, "answers: {cell}");
+    assert_eq!(
+        served.relevance_verdicts, sequential.relevance_verdicts,
+        "relevance verdict log diverged: {cell}"
+    );
+    assert_eq!(
+        served.accesses_made, sequential.accesses_made,
+        "accesses made: {cell}"
+    );
+    assert!(
+        served
+            .final_configuration
+            .same_facts(&sequential.final_configuration),
+        "final configurations differ: {cell}"
+    );
+}
+
 fn assert_sessions_match_sequential(scenario: &Scenario, policy: &ResponsePolicy, sessions: usize) {
     let federation = async_federation_for(scenario, policy);
     let registry = QuerySessionRegistry::new(&federation);
@@ -96,26 +120,7 @@ fn assert_sessions_match_sequential(scenario: &Scenario, policy: &ResponsePolicy
                 scenario.name,
                 strategy.name()
             );
-            assert_eq!(
-                s.report.access_sequence, sequential.access_sequence,
-                "access sequence diverged: {cell}"
-            );
-            assert_eq!(s.report.certain, sequential.certain, "verdict: {cell}");
-            assert_eq!(s.report.answers, sequential.answers, "answers: {cell}");
-            assert_eq!(
-                s.report.relevance_verdicts, sequential.relevance_verdicts,
-                "relevance verdict log diverged: {cell}"
-            );
-            assert_eq!(
-                s.report.accesses_made, sequential.accesses_made,
-                "accesses made: {cell}"
-            );
-            assert!(
-                s.report
-                    .final_configuration
-                    .same_facts(&sequential.final_configuration),
-                "final configurations differ: {cell}"
-            );
+            assert_same_run(&s.report, &sequential, &cell);
         }
         // The wire-call ledger balances regardless of session count.
         assert_eq!(
@@ -158,6 +163,127 @@ fn random_serving_grid_matches_sequential() {
             for sessions in [1, 4] {
                 assert_sessions_match_sequential(&scenario, &policy, sessions);
             }
+        }
+    }
+}
+
+/// One serve of same-query sessions at two access caps × batch sizes
+/// {1, 4, 8} × speculation {CachedOnly, Eager}. The cap and the batch knobs
+/// stay out of the verdict class, so all twelve sessions share verdicts:
+/// each still matches its solo sequential run byte for byte, the small-cap
+/// sessions answer checks from the shared cache, and the serve runs exactly
+/// the decision procedures the longest session runs alone.
+fn assert_mixed_knob_sessions_share_one_trajectory(scenario: &Scenario, policy: &ResponsePolicy) {
+    let federation = async_federation_for(scenario, policy);
+    let sequential_source = DeepWebSource::new(
+        scenario.instance.clone(),
+        scenario.methods.clone(),
+        policy.clone(),
+    );
+    let initial = &scenario.initial_configuration;
+    for strategy in [Strategy::LtrGuided, Strategy::Hybrid] {
+        let request = |cap: usize, batch_size: usize, speculation: SpeculationMode| {
+            RunRequest::new(scenario.query.clone())
+                .with_strategy(strategy)
+                .with_options(RunOptions {
+                    max_accesses: cap,
+                    batch_size,
+                    speculation,
+                    ..run_options()
+                })
+        };
+        let large = 4 * run_options().max_accesses;
+        let alone = QuerySessionRegistry::new(&federation);
+        let longest = alone
+            .serve(&[request(large, 4, SpeculationMode::CachedOnly)], initial)
+            .sessions
+            .remove(0)
+            .report;
+        let small = longest.accesses_made / 2;
+        let cell = format!(
+            "scenario={} strategy={} policy={policy:?}",
+            scenario.name,
+            strategy.name()
+        );
+        assert!(small > 0, "the small cap must truncate the run: {cell}");
+
+        // Large caps first: they are admitted first, so the small-cap
+        // sessions find verdicts already published. An Eager session at
+        // batch size 8 leads, so the others reuse verdicts (and read sets)
+        // published by a session whose scratch checks interned values.
+        let mut requests = Vec::new();
+        for cap in [large, small] {
+            for speculation in [SpeculationMode::Eager, SpeculationMode::CachedOnly] {
+                for batch_size in [8, 4, 1] {
+                    requests.push(request(cap, batch_size, speculation));
+                }
+            }
+        }
+        let registry = QuerySessionRegistry::new(&federation);
+        let served = registry.serve(&requests, initial);
+        for (s, request) in served.sessions.iter().zip(&requests) {
+            let options = &request.options;
+            let cell = format!(
+                "{cell} cap={} batch={} speculation={:?}",
+                options.max_accesses, options.batch_size, options.speculation
+            );
+            let solo = Sequential::new(&sequential_source).execute(request, initial);
+            assert_same_run(&s.report, &solo, &cell);
+            if options.max_accesses == small {
+                assert!(
+                    s.report.relevance_shared_hits > 0,
+                    "no shared verdict reused: {cell}"
+                );
+            }
+        }
+        assert_eq!(
+            registry.verdict_cache().misses(),
+            alone.verdict_cache().misses(),
+            "the serve ran other procedures than the longest session alone: {cell}"
+        );
+    }
+}
+
+/// A decision procedure interns the values of its tentative responses, and
+/// a session answered from the shared cache skips that procedure. If those
+/// values kept their ids, sessions of one class would number later values
+/// differently and misread each other's shared read sets; the LTR checks of
+/// this scenario intern such values. Every session must still evict reused
+/// verdicts exactly where its sequential run does.
+#[test]
+fn sessions_that_interned_differently_share_read_sets_soundly() {
+    let scenario = random_scenario(14);
+    let source = DeepWebSource::new(
+        scenario.instance.clone(),
+        scenario.methods.clone(),
+        ResponsePolicy::Exact,
+    );
+    let request = RunRequest::new(scenario.query.clone())
+        .with_strategy(Strategy::LtrGuided)
+        .with_options(RunOptions {
+            budget: SearchBudget::shallow(),
+            batch_size: 1,
+            ..RunOptions::default()
+        });
+    let initial = &scenario.initial_configuration;
+    let solo = Sequential::new(&source).execute(&request, initial);
+    let federation = async_federation_for(&scenario, &ResponsePolicy::Exact);
+    let registry = QuerySessionRegistry::new(&federation);
+    for serve in ["cold", "warm"] {
+        let served = registry.serve(&vec![request.clone(); 3], initial);
+        for s in &served.sessions {
+            assert_same_run(&s.report, &solo, &format!("{serve} session {}", s.session));
+        }
+        assert!(served.sessions[1].report.relevance_shared_hits > 0);
+    }
+}
+
+#[test]
+fn mixed_knob_sessions_share_one_verdict_trajectory() {
+    for policy in [ResponsePolicy::Exact, ResponsePolicy::FirstK(2)] {
+        assert_mixed_knob_sessions_share_one_trajectory(&bank_scenario(), &policy);
+        for seed in [11, 29] {
+            assert_mixed_knob_sessions_share_one_trajectory(&random_scenario(seed), &policy);
         }
     }
 }
